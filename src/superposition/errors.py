@@ -49,10 +49,6 @@ class InvalidProbabilities(SuperpositionError):
     pass
 
 
-class NoConvergence(SuperpositionError):
-    """A solver exhausted its budget without reaching tolerance."""
-
-
 class ChannelMismatch(SuperpositionError):
     """A verified channel identity failed; signals an implementation bug."""
 

@@ -214,57 +214,48 @@ def random_block_free_channel(projectors: ObliqueProjectors, seed) -> KrausChann
 # generalized measures
 
 
-def _hermitian_params(partition: BlockPartition):
-    """Coordinates (block, i, j, kind) for a block-diagonal Hermitian matrix."""
-    coords = []
+def _hermitian_basis(partition: BlockPartition, d: int) -> np.ndarray:
+    """Real-coordinate basis E, shape (n, d, d) with n = sum |b|^2, of the
+    block-diagonal Hermitian matrices: e_aa for every index a and, for every
+    pair a < c in one block, e_ac + e_ca and i(e_ac - e_ca)."""
+    E = []
     for b in partition.blocks:
-        for a_pos, a in enumerate(b):
-            coords.append((a, a, "d"))
-            for c in b[a_pos + 1:]:
-                coords.append((a, c, "re"))
-                coords.append((a, c, "im"))
-    return coords
+        for pos, a in enumerate(b):
+            for c in b[pos:]:
+                for w in ((1.0,) if a == c else (1.0, 1j)):
+                    M = np.zeros((d, d), dtype=complex)
+                    M[a, c] = w
+                    M[c, a] = np.conj(w)
+                    E.append(M)
+    return np.array(E)
 
 
-def _unpack(params, coords, d):
-    B = np.zeros((d, d), dtype=complex)
-    for val, (i, j, kind) in zip(params, coords):
-        if kind == "d":
-            B[i, i] = val
-        elif kind == "re":
-            B[i, j] += val
-            B[j, i] += val
-        else:
-            B[i, j] += 1j * val
-            B[j, i] += -1j * val
-    return B
+def _coords(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Coordinates of a block-diagonal Hermitian X in the basis E."""
+    return np.tensordot(E.conj(), X, 2).real / (np.abs(E) ** 2).sum(axis=(1, 2))
 
 
-def _pack_gradient(Gm, coords):
-    g = np.empty(len(coords))
-    for k, (i, j, kind) in enumerate(coords):
-        if kind == "d":
-            g[k] = Gm[i, i].real
-        elif kind == "re":
-            g[k] = 2.0 * Gm[i, j].real
-        else:
-            g[k] = 2.0 * Gm[i, j].imag
-    return g
+def _logdet_grad_hess(M: np.ndarray, E: np.ndarray):
+    """Tr(M^-1 E_k) and Tr(M^-1 E_k M^-1 E_l) for M > 0, from one eigh of M:
+    with K_k = S^-1/2 U^dag E_k U S^-1/2 they are Tr K_k and Tr(K_k K_l)."""
+    s, U = np.linalg.eigh(M)
+    A = U / np.sqrt(s)
+    K = A.conj().T @ E @ A
+    g = np.trace(K, axis1=1, axis2=2).real
+    K = K.reshape(len(E), -1)
+    return g, (K @ K.conj().T).real
 
 
-def _block_eigs_min(B, partition):
-    m = math.inf
-    for b in partition.blocks:
-        m = min(m, float(np.linalg.eigvalsh(B[np.ix_(b, b)]).min()))
-    return m
-
-
-_T_SCHEDULE = tuple(1.0 * 0.15**k for k in range(10))  # down to ~4e-8
+def _positive(M: np.ndarray) -> bool:
+    return float(np.linalg.eigvalsh(M).min()) > 0
 
 
 def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> MeasureResult:
     """1 - max Tr(B G) over block-diagonal B with B >= 0 and R - B >= 0,
-    working in oblique coordinates (congruence by V preserves positivity)."""
+    working in oblique coordinates (congruence by V preserves positivity).
+
+    Barrier objective: -Tr(B G) - t logdet(R + eps I - B) - t logdet B.
+    """
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
@@ -273,47 +264,34 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
         cert = {"B": _block_pinch(R, partition), "weight": 1.0}
         return MeasureResult(value=0.0, certificate=cert)
     G = basis.gram
-    coords = _hermitian_params(partition)
+    E = _hermitian_basis(partition, d)
+    c = np.tensordot(E.conj(), G, 2).real  # Tr(E_k G)
     eps = 1e-10
     Reps = R + eps * np.eye(d)
 
-    def feasible(params):
-        B = _unpack(params, coords, d)
-        if _block_eigs_min(B, partition) <= 0:
-            return False
-        return float(np.linalg.eigvalsh(Reps - B).min()) > 0
+    def feasible(x):
+        B = np.tensordot(x, E, 1)
+        return _positive(B) and _positive(Reps - B)
 
-    def f_grad(params, t):
-        B = _unpack(params, coords, d)
-        M = Reps - B
-        sM, UM = np.linalg.eigh(M)
-        val = -float(np.trace(B @ G).real) - t * float(np.sum(np.log(sM)))
-        Minv = (UM / sM) @ UM.conj().T
-        Gm = -G.astype(complex) + t * Minv
-        for b in partition.blocks:
-            idx = np.ix_(b, b)
-            sb, Ub = np.linalg.eigh(B[idx])
-            val -= t * float(np.sum(np.log(sb)))
-            Gm[idx] -= t * (Ub / sb) @ Ub.conj().T
-        return val, _pack_gradient(Gm, coords)
+    def grad_hess(x, t):
+        B = np.tensordot(x, E, 1)
+        gM, HM = _logdet_grad_hess(Reps - B, E)
+        gB, HB = _logdet_grad_hess(B, E)
+        return -c + t * (gM - gB), t * (HM + HB)
 
     # start from a small multiple of the pinched coefficient matrix
     beta = 0.5
-    pinched = _block_pinch(Reps, partition)
+    pinched = _coords(_block_pinch(Reps, partition), E)
     x0 = None
     while beta > 1e-8:
-        cand = np.array([beta * pinched[i, i].real if k == "d"
-                         else beta * pinched[i, j].real if k == "re"
-                         else beta * pinched[i, j].imag
-                         for (i, j, k) in coords])
-        if feasible(cand):
-            x0 = cand
+        if feasible(beta * pinched):
+            x0 = beta * pinched
             break
         beta *= 0.5
     if x0 is None:
-        x0 = np.array([eps if k == "d" else 0.0 for (_, _, k) in coords])
-    x, iters = barrier_descent(x0, f_grad, feasible, _T_SCHEDULE)
-    B = _unpack(x, coords, d)
+        x0 = _coords(eps * np.eye(d), E)
+    x, iters = barrier_descent(x0, grad_hess, feasible)
+    B = np.tensordot(x, E, 1)
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
     return MeasureResult(value=1.0 - weight, certificate={"B": B, "weight": weight},
                          iterations=iters)
@@ -321,7 +299,10 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
 
 def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> MeasureResult:
     """min Tr(C G) - 1 over block-diagonal C with C >= R; the optimizer
-    normalized is the closest block-free state in the robustness sense."""
+    normalized is the closest block-free state in the robustness sense.
+
+    Barrier objective: Tr(C G) - t logdet(C - R).
+    """
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
@@ -329,27 +310,20 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     if is_block_free(rho, projectors, tol=1e-10):
         return MeasureResult(value=0.0, certificate={"C": _block_pinch(R, partition)})
     G = basis.gram
-    coords = _hermitian_params(partition)
+    E = _hermitian_basis(partition, d)
+    c = np.tensordot(E.conj(), G, 2).real  # Tr(E_k G)
 
-    def feasible(params):
-        C = _unpack(params, coords, d)
-        return float(np.linalg.eigvalsh(C - R).min()) > 0
+    def feasible(x):
+        return _positive(np.tensordot(x, E, 1) - R)
 
-    def f_grad(params, t):
-        C = _unpack(params, coords, d)
-        M = C - R
-        sM, UM = np.linalg.eigh(M)
-        val = float(np.trace(C @ G).real) - t * float(np.sum(np.log(sM)))
-        Minv = (UM / sM) @ UM.conj().T
-        Gm = G.astype(complex) - t * Minv
-        return val, _pack_gradient(Gm, coords)
+    def grad_hess(x, t):
+        g, H = _logdet_grad_hess(np.tensordot(x, E, 1) - R, E)
+        return c - t * g, t * H
 
     pinched = _block_pinch(R, partition)
     shift = max(float(np.linalg.eigvalsh(R - pinched).max()), 0.0) + 0.5
-    C0 = pinched + shift * np.eye(d)
-    x0 = np.array([C0[i, i].real if k == "d" else C0[i, j].real if k == "re"
-                   else C0[i, j].imag for (i, j, k) in coords])
-    x, iters = barrier_descent(x0, f_grad, feasible, _T_SCHEDULE)
-    C = _unpack(x, coords, d)
+    x0 = _coords(pinched + shift * np.eye(d), E)
+    x, iters = barrier_descent(x0, grad_hess, feasible)
+    C = np.tensordot(x, E, 1)
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)
     return MeasureResult(value=value, certificate={"C": C}, iterations=iters)

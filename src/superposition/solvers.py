@@ -6,10 +6,15 @@ linear objectives over spectrahedra with diagonal decision variables:
     weight:      maximize sum(w)  s.t.  0 <= diag(w) <= R
     robustness:  minimize sum(y)  s.t.  diag(y) >= R   (value = sum(y) - 1)
 
-Both are solved by a damped-Newton log-det barrier method with barrier
-continuation, which converges to well below the test tolerances for the
-d <= 8 instances this package targets.  The relative-entropy projection
-onto the free simplex uses exponentiated-gradient (mirror) descent.
+Their block generalizations (generalized.py) replace diag(w) and diag(y) by
+block-diagonal Hermitian matrices.  One damped-Newton log-det barrier path,
+``barrier_descent``, serves the plain and the block measures: each caller
+supplies the gradient and Hessian of its barrier objective in its own real
+coordinates and a strict-feasibility test.  Barrier continuation brings the
+duality gap well below the test tolerances for the d <= 8 instances this
+package targets (Boyd & Vandenberghe, Convex Optimization, section 11.3).
+The relative-entropy projection onto the free simplex uses
+exponentiated-gradient (mirror) descent.
 """
 
 import numpy as np
@@ -47,6 +52,23 @@ def _newton_stage(x, grad_hess, feasible, t):
     return x, iters
 
 
+def barrier_descent(x, grad_hess, feasible):
+    """Barrier continuation: damped-Newton centering at t = BARRIER_T0,
+    shrinking by BARRIER_SHRINK down to BARRIER_TMIN.
+
+    grad_hess(x, t) returns the gradient and Hessian of the barrier objective
+    at weight t; feasible(x) tells whether x is strictly inside the domain.
+    Returns (x, total Newton iterations).
+    """
+    total = 0
+    t = BARRIER_T0
+    while t >= BARRIER_TMIN:
+        x, it = _newton_stage(x, grad_hess, feasible, t)
+        total += it
+        t *= BARRIER_SHRINK
+    return x, total
+
+
 def max_weight_diagonal(R: np.ndarray, eps: float = 1e-9):
     """Maximize sum(w) subject to w >= 0 and diag(w) <= R + eps*I.
 
@@ -69,13 +91,7 @@ def max_weight_diagonal(R: np.ndarray, eps: float = 1e-9):
         H = t * (np.abs(Minv) ** 2) + np.diag(t / w**2)
         return g, H
 
-    total = 0
-    t = BARRIER_T0
-    while t >= BARRIER_TMIN:
-        w, it = _newton_stage(w, grad_hess, feasible, t)
-        total += it
-        t *= BARRIER_SHRINK
-    return w, total
+    return barrier_descent(w, grad_hess, feasible)
 
 
 def min_dominating_diagonal(R: np.ndarray):
@@ -93,13 +109,7 @@ def min_dominating_diagonal(R: np.ndarray):
         H = t * (np.abs(Ninv) ** 2)
         return g, H
 
-    total = 0
-    t = BARRIER_T0
-    while t >= BARRIER_TMIN:
-        y, it = _newton_stage(y, grad_hess, feasible, t)
-        total += it
-        t *= BARRIER_SHRINK
-    return y, total
+    return barrier_descent(y, grad_hess, feasible)
 
 
 def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000,
@@ -139,63 +149,3 @@ def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000,
         else:
             stall = 0
     return q, val, it, stall >= 5
-
-
-def barrier_descent(x0, f_grad, feasible, t_schedule, max_iter: int = 2000,
-                    gtol: float = 1e-9):
-    """Barzilai-Borwein gradient descent with barrier continuation, for the
-    block-structured (matrix-variable) problems where a dense Newton system
-    is not worth assembling.
-
-    The spectral step length gives quasi-Newton-like progress on these
-    smooth barriers while staying robust to the hard feasibility boundary
-    (infeasible trials are simply backtracked).  f_grad(x, t) returns
-    (value, gradient).  Returns (x, iterations).
-    """
-    x = np.asarray(x0, dtype=float)
-    total = 0
-    for t in t_schedule:
-        val, g = f_grad(x, t)
-        prev_x = prev_g = None
-        recent = [val]
-        best = val
-        stall = 0
-        for _ in range(max_iter):
-            total += 1
-            gn2 = float(g @ g)
-            if np.sqrt(gn2) < gtol * (1.0 + abs(val)):
-                break
-            if stall >= 40:
-                break
-            step = 1.0
-            if prev_x is not None:
-                s = x - prev_x
-                y = g - prev_g
-                sy = float(s @ y)
-                if sy > 1e-30:
-                    step = float(np.clip(float(s @ s) / sy, 1e-12, 1e6))
-            # nonmonotone Armijo: accept against the worst recent value so
-            # the spectral step is rarely cut
-            ref = max(recent)
-            accepted = False
-            while step > 1e-16:
-                trial = x - step * g
-                if feasible(trial):
-                    tval, tg = f_grad(trial, t)
-                    if tval < ref - 1e-4 * step * gn2:
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                break
-            prev_x, prev_g = x, g
-            x, val, g = trial, tval, tg
-            recent.append(val)
-            if len(recent) > 10:
-                recent.pop(0)
-            if val < best - 1e-11 * (1.0 + abs(best)):
-                best = val
-                stall = 0
-            else:
-                stall += 1
-    return x, total

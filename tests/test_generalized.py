@@ -134,14 +134,64 @@ def test_block_shift_reduces_to_cyclic_on_singletons():
 
 
 def test_singleton_blocks_match_plain_measures():
-    basis = constant_overlap_basis(2, 0.5)
-    proj = block_projectors(basis, BlockPartition(((0,), (1,))))
-    for seed in range(5):
-        rho = random_density(2, 2, seed)
-        assert abs(m_weight_generalized(rho, proj).value
-                   - m_weight(rho, basis).value) < 1e-3
-        assert abs(m_robustness_generalized(rho, proj).value
-                   - m_robustness(rho, basis).value) < 1e-3
+    for d in (2, 3, 4):
+        basis = constant_overlap_basis(d, 0.5)
+        proj = block_projectors(basis, BlockPartition(tuple((k,) for k in range(d))))
+        for seed in range(5):
+            rho = random_density(d, d, seed)
+            assert abs(m_weight_generalized(rho, proj).value
+                       - m_weight(rho, basis).value) < 1e-8
+            assert abs(m_robustness_generalized(rho, proj).value
+                       - m_robustness(rho, basis).value) < 1e-8
+
+
+def _sqrtm(M, power):
+    s, U = np.linalg.eigh(M)
+    return (U * s**power) @ U.conj().T
+
+
+def _dual_lower_bound(measure, result, R, G, blocks):
+    """A lower bound on the measure from a dual point built from the
+    returned certificate alone.
+
+    Robustness: any Z >= 0 whose diagonal blocks equal those of G gives
+    Tr(Z R) - 1.  Weight: any Z >= 0 whose diagonal blocks dominate those of
+    G gives 1 - Tr(Z R).
+    """
+    d = R.shape[0]
+    if measure is m_robustness_generalized:
+        Z = np.linalg.inv(result.certificate["C"] - R)
+        S = np.zeros((d, d), dtype=complex)
+        for b in blocks:
+            idx = np.ix_(b, b)
+            S[idx] = _sqrtm(G[idx], 0.5) @ _sqrtm(Z[idx], -0.5)
+        return float(np.trace(S @ Z @ S.conj().T @ R).real) - 1.0
+    Z = np.linalg.inv(R + 1e-10 * np.eye(d) - result.certificate["B"])
+    scale = 0.0
+    for b in blocks:
+        idx = np.ix_(b, b)
+        Zi = _sqrtm(Z[idx], -0.5)
+        scale = max(scale, float(np.linalg.eigvalsh(Zi @ G[idx] @ Zi).max()))
+    return 1.0 - scale * float(np.trace(Z @ R).real)
+
+
+@pytest.mark.parametrize("measure, d, cuts", [
+    (m_weight_generalized, 3, [1]),
+    (m_robustness_generalized, 3, [1]),
+    (m_weight_generalized, 4, [2]),
+    (m_robustness_generalized, 4, [2]),
+    (m_robustness_generalized, 6, [2, 4]),
+])
+def test_generalized_certificates_are_optimal(measure, d, cuts):
+    basis = constant_overlap_basis(d, 0.5)
+    proj = block_projectors(basis, contiguous_partition(d, cuts))
+    for seed in range(3):
+        rho = random_density(d, d, seed)
+        R = coefficients_of(rho, basis).entries
+        result = measure(rho, proj)
+        lower = _dual_lower_bound(measure, result, R, basis.gram, proj.partition.blocks)
+        assert lower <= result.value + 1e-9
+        assert result.value - lower <= 1e-6
 
 
 def test_generalized_measures_vanish_iff_block_free():
