@@ -27,7 +27,7 @@ def main() -> int:
             t0 = time.time()
             reports = run_axiom_campaign(measure, basis, trials=args.trials,
                                          seed=args.seed)
-            print(f"# d={d} mu=0.5 ({time.time() - t0:.1f}s)", file=sys.stderr)
+            print(f"# {measure} d={d} mu=0.5 ({time.time() - t0:.1f}s)", file=sys.stderr)
             print(report_table(reports))
             bad = bad or any(not r.passed for r in reports)
     return 3 if bad else 0

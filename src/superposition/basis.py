@@ -68,8 +68,9 @@ def build_basis(columns: np.ndarray) -> SuperpositionBasis:
     det = np.linalg.det(G)
     if det.real <= DET_TOL:
         raise LinearlyDependent(f"Gram determinant {det.real:g} <= {DET_TOL:g}")
-    # chat_i are the columns of V G^{-1}: (V G^{-1})^dag V = G^{-1} G = I.
-    bio = V @ np.linalg.inv(G)
+    # chat_i are the columns of (V^-1)^dag.  Inverting V keeps the error at
+    # cond(V) rounding; V G^-1, equal in exact arithmetic, has cond(V)^2.
+    bio = np.linalg.inv(V).conj().T
     pre_norms = np.linalg.norm(bio, axis=0)
     duals = bio / pre_norms
     xi = 1.0 / pre_norms
@@ -113,7 +114,7 @@ def constant_overlap_basis(d: int, mu: float) -> SuperpositionBasis:
     # independence, and near the endpoints the tiny (but exact) Gram
     # determinant would trip the generic build_basis threshold.
     Gv = V.conj().T @ V
-    bio = V @ np.linalg.inv(Gv)
+    bio = np.linalg.inv(V).conj().T
     pre_norms = np.linalg.norm(bio, axis=0)
     return SuperpositionBasis(
         dimension=d, vectors=V, gram=Gv, duals=bio / pre_norms,

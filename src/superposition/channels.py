@@ -119,7 +119,7 @@ def is_superposition_free(channel: KrausChannel, basis: SuperpositionBasis,
     """True iff every Kraus operator maps each basis vector to a scalar
     multiple of some basis vector, i.e. the oblique matrix V^-1 K V has at
     most one nonzero entry per column."""
-    Vinv = np.linalg.inv(basis.vectors)
+    Vinv = basis.biorthogonal_duals.conj().T
     for K in channel.operators:
         A = Vinv @ K @ basis.vectors
         significant = np.abs(A) > tol
@@ -146,15 +146,9 @@ def cyclic_preparation_channel(basis: SuperpositionBasis, probs) -> KrausChannel
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size != basis.dimension or np.min(p) < -1e-12 or abs(p.sum() - 1) > 1e-9:
         raise InvalidProbabilities(f"not a probability vector: {probs!r}")
-    _check_gram_permutation_invariant(basis)
     d = basis.dimension
-    ops = []
-    for i in range(d):
-        A = np.zeros((d, d))
-        for k in range(d):
-            A[(k + i) % d, k] = 1.0
-        ops.append(np.sqrt(max(p[i], 0.0)) * basis.vectors @ A @ np.linalg.inv(basis.vectors))
-    return make_channel(ops)
+    shifts = [[(k + i) % d for k in range(d)] for i in range(d)]
+    return permutation_mixture_channel(basis, shifts, p)
 
 
 def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights) -> KrausChannel:
@@ -167,7 +161,7 @@ def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights
     if abs(w.sum() - 1) > 1e-9 or np.min(w) < -1e-12:
         raise InvalidProbabilities(f"not a probability vector: {weights!r}")
     _check_gram_permutation_invariant(basis)
-    Vinv = np.linalg.inv(basis.vectors)
+    Vinv = basis.biorthogonal_duals.conj().T
     ops = []
     for perm, q in zip(permutations, w):
         P = np.zeros((basis.dimension, basis.dimension))

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .measures import MeasureResult
 from .qstate import DensityMatrix, coefficients_of
-from .solvers import barrier_descent
+from .solvers import barrier_descent, neg_logdet
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,6 @@ def _logdet_grad_hess(M: np.ndarray, E: np.ndarray):
     return g, (K @ K.conj().T).real
 
 
-def _positive(M: np.ndarray) -> bool:
-    return float(np.linalg.eigvalsh(M).min()) > 0
-
-
 def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> MeasureResult:
     """1 - max Tr(B G) over block-diagonal B with B >= 0 and R - B >= 0,
     working in oblique coordinates (congruence by V preserves positivity).
@@ -269,9 +265,9 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
     eps = 1e-10
     Reps = R + eps * np.eye(d)
 
-    def feasible(x):
+    def parts(x):
         B = np.tensordot(x, E, 1)
-        return _positive(B) and _positive(Reps - B)
+        return -float(c @ x), neg_logdet(Reps - B) + neg_logdet(B)
 
     def grad_hess(x, t):
         B = np.tensordot(x, E, 1)
@@ -284,13 +280,13 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
     pinched = _coords(_block_pinch(Reps, partition), E)
     x0 = None
     while beta > 1e-8:
-        if feasible(beta * pinched):
+        if parts(beta * pinched)[1] < np.inf:
             x0 = beta * pinched
             break
         beta *= 0.5
     if x0 is None:
         x0 = _coords(eps * np.eye(d), E)
-    x, iters = barrier_descent(x0, grad_hess, feasible)
+    x, iters = barrier_descent(x0, grad_hess, parts)
     B = np.tensordot(x, E, 1)
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
     return MeasureResult(value=1.0 - weight, certificate={"B": B, "weight": weight},
@@ -313,8 +309,8 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     E = _hermitian_basis(partition, d)
     c = np.tensordot(E.conj(), G, 2).real  # Tr(E_k G)
 
-    def feasible(x):
-        return _positive(np.tensordot(x, E, 1) - R)
+    def parts(x):
+        return float(c @ x), neg_logdet(np.tensordot(x, E, 1) - R)
 
     def grad_hess(x, t):
         g, H = _logdet_grad_hess(np.tensordot(x, E, 1) - R, E)
@@ -323,7 +319,7 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     pinched = _block_pinch(R, partition)
     shift = max(float(np.linalg.eigvalsh(R - pinched).max()), 0.0) + 0.5
     x0 = _coords(pinched + shift * np.eye(d), E)
-    x, iters = barrier_descent(x0, grad_hess, feasible)
+    x, iters = barrier_descent(x0, grad_hess, parts)
     C = np.tensordot(x, E, 1)
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)
     return MeasureResult(value=value, certificate={"C": C}, iterations=iters)

@@ -150,18 +150,12 @@ def _complex_coeff_resource(basis, seed):
     return rho
 
 
-def _roof_opts(basis):
+def _campaign_roof(solver, rho, basis, extra_starts=()):
     # rank-many members have matched the larger default cap empirically at
     # d <= 3 while keeping the search space small
-    return RoofOptions(ensemble_size_cap=1, **CAMPAIGN_ROOF_OPTS)
-
-
-def _roof_call(solver):
-    def call(rho, basis, extra_starts=()):
-        opts = RoofOptions(ensemble_size_cap=1, extra_starts=tuple(extra_starts),
-                           **CAMPAIGN_ROOF_OPTS)
-        return solver(rho, basis, opts)
-    return call
+    opts = RoofOptions(ensemble_size_cap=1, extra_starts=tuple(extra_starts),
+                       **CAMPAIGN_ROOF_OPTS)
+    return solver(rho, basis, opts)
 
 
 def _measure_registry():
@@ -173,14 +167,17 @@ def _measure_registry():
     return {
         "l1": std(lambda r, b: m_l1(r, b).value, 1e-6),
         "rel_ent": std(lambda r, b: m_rel_ent(r, b).value, 1e-3),
-        "rank": std(lambda r, b: m_rank(r, b, _roof_opts(b)).value, 1e-3,
-                    roof_fn=_roof_call(m_rank)),
+        "rank": std(lambda r, b: _campaign_roof(m_rank, r, b).value, 1e-3,
+                    roof_fn=lambda r, b, extra_starts=():
+                    _campaign_roof(m_rank, r, b, extra_starts)),
         "robustness": std(lambda r, b: m_robustness(r, b).value, 1e-3),
         "weight": std(lambda r, b: m_weight(r, b).value, 1e-3),
-        "l1_roof": std(lambda r, b: m_l1_roof(r, b, _roof_opts(b)).value, 1e-3,
-                       roof_fn=_roof_call(m_l1_roof)),
-        "rel_ent_roof": std(lambda r, b: m_rel_ent_roof(r, b, _roof_opts(b)).value, 1e-3,
-                            roof_fn=_roof_call(m_rel_ent_roof)),
+        "l1_roof": std(lambda r, b: _campaign_roof(m_l1_roof, r, b).value, 1e-3,
+                       roof_fn=lambda r, b, extra_starts=():
+                       _campaign_roof(m_l1_roof, r, b, extra_starts)),
+        "rel_ent_roof": std(lambda r, b: _campaign_roof(m_rel_ent_roof, r, b).value, 1e-3,
+                            roof_fn=lambda r, b, extra_starts=():
+                            _campaign_roof(m_rel_ent_roof, r, b, extra_starts)),
         "delta": MeasureConfig(
             fn=lambda r, b: m_delta(r, b).value, tolerance=1e-6,
             channel_family="real_dual", free_sampler=_real_coeff_free,
@@ -211,13 +208,76 @@ def _sample_channel(family: str, basis: SuperpositionBasis, seed: int):
 # axiom campaigns
 
 
+def _free_and_resource_trial(cfg, basis, family, tol, ts):
+    free = cfg.free_sampler(basis, ts)
+    v = cfg.fn(free, basis)
+    yield free.matrix, v, tol, v - tol
+    res = cfg.resource_sampler(basis, ts)
+    v = cfg.fn(res, basis)
+    yield res.matrix, tol, v, tol - v
+
+
+def _channel_trial(cfg, basis, family, tol, ts):
+    rho = cfg.resource_sampler(basis, ts)
+    chan = _sample_channel(family, basis, ts)
+    before = cfg.fn(rho, basis)
+    after = cfg.fn(apply(chan, rho), basis)
+    yield rho.matrix, after, before, after - before - tol
+
+
+def _selective_trial(cfg, basis, family, tol, ts):
+    rho = cfg.resource_sampler(basis, ts)
+    chan = _sample_channel(family, basis, ts + 1)
+    before = cfg.fn(rho, basis)
+    avg = sum(p * cfg.fn(out, basis) for p, out in apply_selective(chan, rho))
+    yield rho.matrix, avg, before, avg - before - tol
+
+
+def _mixture_trial(cfg, basis, family, tol, ts):
+    rng = np.random.default_rng(ts)
+    k = int(rng.integers(2, 4))
+    parts = [cfg.resource_sampler(basis, ts * 31 + j) for j in range(k)]
+    w = rng.exponential(size=k)
+    w /= w.sum()
+    mix = DensityMatrix(sum(wi * p.matrix for wi, p in zip(w, parts)))
+    if cfg.roof_fn is not None:
+        # seed the mixture search with the concatenated component
+        # ensembles, which form a valid decomposition of the mixture
+        results = [cfg.roof_fn(p, basis) for p in parts]
+        rhs = sum(wi * res.value for wi, res in zip(w, results))
+        members = [(wi * p, phi) for wi, res in zip(w, results)
+                   for p, phi in res.certificate.members]
+        start = ensemble_warm_start(mix, members)
+        lhs = cfg.roof_fn(mix, basis, extra_starts=(start,)).value
+    else:
+        lhs = cfg.fn(mix, basis)
+        rhs = sum(wi * cfg.fn(p, basis) for wi, p in zip(w, parts))
+    yield mix.matrix, lhs, rhs, lhs - rhs - tol
+
+
+# One row per axiom: (axiom, trial-seed stride, trial cap, note, trial
+# function).  A trial function yields (matrix, lhs, rhs, slack) records for
+# one trial seed; slack > 0 is a violation, reported by the matrix digest.
+# S2-S4 cap at 50 trials since each trial calls solvers on several states.
+_AXIOM_SPECS = (
+    ("S1", 100003, None,
+     "free samples must vanish; resource samples must exceed tol",
+     _free_and_resource_trial),
+    ("S2", 100019, 50,
+     "channels sampled from the free-by-construction family '{family}'; "
+     "necessary condition only",
+     _channel_trial),
+    ("S3", 100043, 50, "selective outcomes of family '{family}'", _selective_trial),
+    ("S4", 100057, 50, "", _mixture_trial),
+)
+
+
 def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
                        channel_family: Optional[str] = None, trials: int = 200,
                        seed: int = 0, tol: Optional[float] = None):
     """Run S1-S4 for one measure; returns a list of four AxiomReport.
 
-    S1 uses the full trial count; S2-S4 cap at 50 trials since each trial
-    involves solver calls on several states.
+    S1 uses the full trial count; S2-S4 cap at 50 trials.
     """
     if measure not in MEASURES:
         raise UnknownMeasure(measure)
@@ -226,106 +286,22 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     if family not in ("standard", "real_dual"):
         raise UnknownChannelFamily(family)
     tolerance = cfg.tolerance if tol is None else tol
-    fn = cfg.fn
     reports = []
-
-    # S1: zero on free states, positive on resource states
-    violations = []
-    max_slack = -math.inf
-    for t in range(trials):
-        ts = seed * 100003 + t
-        free = cfg.free_sampler(basis, ts)
-        v = fn(free, basis)
-        slack = v - tolerance
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": _digest(free.matrix),
-                               "lhs": v, "rhs": tolerance, "slack": slack})
-        res = cfg.resource_sampler(basis, ts)
-        v = fn(res, basis)
-        slack = tolerance - v
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": _digest(res.matrix),
-                               "lhs": tolerance, "rhs": v, "slack": slack})
-    reports.append(AxiomReport(
-        axiom="S1", measure=measure, trials=trials, tolerance=tolerance,
-        violations=tuple(violations), max_slack=max_slack,
-        note="free samples must vanish; resource samples must exceed tol"))
-
-    small = min(trials, 50)
-
-    # S2: monotone under sampled free channels
-    violations = []
-    max_slack = -math.inf
-    for t in range(small):
-        ts = seed * 100019 + t
-        rho = cfg.resource_sampler(basis, ts)
-        chan = _sample_channel(family, basis, ts)
-        before = fn(rho, basis)
-        after = fn(apply(chan, rho), basis)
-        slack = after - before - tolerance
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": _digest(rho.matrix),
-                               "lhs": after, "rhs": before, "slack": slack})
-    reports.append(AxiomReport(
-        axiom="S2", measure=measure, trials=small, tolerance=tolerance,
-        violations=tuple(violations), max_slack=max_slack,
-        note=f"channels sampled from the free-by-construction family "
-             f"'{family}'; necessary condition only"))
-
-    # S3: monotone on average under selective measurements
-    violations = []
-    max_slack = -math.inf
-    for t in range(small):
-        ts = seed * 100043 + t
-        rho = cfg.resource_sampler(basis, ts)
-        chan = _sample_channel(family, basis, ts + 1)
-        before = fn(rho, basis)
-        avg = sum(p * fn(out, basis) for p, out in apply_selective(chan, rho))
-        slack = avg - before - tolerance
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": _digest(rho.matrix),
-                               "lhs": avg, "rhs": before, "slack": slack})
-    reports.append(AxiomReport(
-        axiom="S3", measure=measure, trials=small, tolerance=tolerance,
-        violations=tuple(violations), max_slack=max_slack,
-        note=f"selective outcomes of family '{family}'"))
-
-    # S4: convexity under sampled mixtures
-    violations = []
-    max_slack = -math.inf
-    for t in range(small):
-        ts = seed * 100057 + t
-        rng = np.random.default_rng(ts)
-        k = int(rng.integers(2, 4))
-        parts = [cfg.resource_sampler(basis, ts * 31 + j) for j in range(k)]
-        w = rng.exponential(size=k)
-        w /= w.sum()
-        mix = DensityMatrix(sum(wi * p.matrix for wi, p in zip(w, parts)))
-        if cfg.roof_fn is not None:
-            # seed the mixture search with the concatenated component
-            # ensembles, which form a valid decomposition of the mixture
-            results = [cfg.roof_fn(p, basis) for p in parts]
-            rhs = sum(wi * res.value for wi, res in zip(w, results))
-            members = [(wi * p, phi) for wi, res in zip(w, results)
-                       for p, phi in res.certificate.members]
-            start = ensemble_warm_start(mix, members)
-            lhs = cfg.roof_fn(mix, basis, extra_starts=(start,)).value
-        else:
-            lhs = fn(mix, basis)
-            rhs = sum(wi * fn(p, basis) for wi, p in zip(w, parts))
-        slack = lhs - rhs - tolerance
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": _digest(mix.matrix),
-                               "lhs": lhs, "rhs": rhs, "slack": slack})
-    reports.append(AxiomReport(
-        axiom="S4", measure=measure, trials=small, tolerance=tolerance,
-        violations=tuple(violations), max_slack=max_slack))
-
+    for axiom, stride, cap, note, trial in _AXIOM_SPECS:
+        count = trials if cap is None else min(trials, cap)
+        violations = []
+        max_slack = -math.inf
+        for t in range(count):
+            for matrix, lhs, rhs, slack in trial(cfg, basis, family, tolerance,
+                                                 seed * stride + t):
+                max_slack = max(max_slack, slack)
+                if slack > 0:
+                    violations.append({"trial": t, "digest": _digest(matrix),
+                                       "lhs": lhs, "rhs": rhs, "slack": slack})
+        reports.append(AxiomReport(
+            axiom=axiom, measure=measure, trials=count, tolerance=tolerance,
+            violations=tuple(violations), max_slack=max_slack,
+            note=note.format(family=family)))
     return reports
 
 

@@ -20,21 +20,28 @@ from .qstate import (
     DensityMatrix,
     Ensemble,
     PureState,
-    RANK_TOL,
     MEMBER_TOL,
     coefficients_of,
-    eigh_sorted,
     ensemble_from_isometry,
     free_state,
     clip_to_psd,
     pure_coefficients,
+    random_isometry,
     rho_x,
     rho_x_eigenvalues,
+    weighted_eigvecs,
 )
 from .solvers import max_weight_diagonal, min_dominating_diagonal, mirror_descent_simplex
 
 LN2 = math.log(2.0)
 SUPPORT_TOL = 1e-10
+# Givens coordinate descent: first and smallest angle step.
+STEP0 = 0.7
+STEP_MIN = 1e-4
+# Tiny deterministic tie-break added to roof costs during the search: it
+# prefers balanced weights among equal-cost decompositions.  Reported roof
+# values never include it.
+BALANCE_PENALTY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,22 +73,17 @@ class MeasureResult:
 class RoofOptions:
     """Knobs for the ensemble-decomposition search.
 
-    ensemble_size_cap defaults to rank squared.  member_filter restricts
-    the admissible pure members (roofs over a restricted closed set);
-    decompositions containing a rejected member are discarded.
-    balance_penalty is a tiny deterministic tie-break that prefers
-    balanced weights among equal-cost decompositions; the reported value
-    is always the unpenalized ensemble average.
+    ensemble_size_cap defaults to rank squared.  restarts is the number of
+    starts searched; max_evals bounds one derivative-free search.
+    member_filter restricts the admissible pure members (roofs over a
+    restricted closed set); decompositions containing a rejected member are
+    discarded.
     """
 
     ensemble_size_cap: Optional[int] = None
     restarts: int = 32
     max_evals: int = 6000
-    tol: float = 1e-7
     seed: int = 0
-    step0: float = 0.7
-    step_min: float = 1e-4
-    balance_penalty: float = 1e-6
     member_filter: Optional[Callable[[PureState], bool]] = None
     extra_starts: tuple = ()  # isometries (any row count >= rank) to seed from
 
@@ -185,7 +187,7 @@ def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
     In oblique coordinates: 1 - max sum(w) over 0 <= diag(w) <= R.
     """
     R = coefficients_of(rho, basis).entries
-    w, iters = max_weight_diagonal(R, eps=1e-10)
+    w, iters = max_weight_diagonal(R)
     lam = float(np.clip(w.sum(), 0.0, 1.0))
     value = 1.0 - lam
     cert = {"w": w, "tau": None}
@@ -198,10 +200,6 @@ def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
 
 # ---------------------------------------------------------------------------
 # convex roof
-
-
-def _stiefel_param_count(n: int, r: int) -> int:
-    return 2 * (n * r - r * (r + 1) // 2) + r
 
 
 def _stiefel(params: np.ndarray, n: int, r: int) -> np.ndarray:
@@ -224,12 +222,12 @@ def _stiefel(params: np.ndarray, n: int, r: int) -> np.ndarray:
     return T
 
 
-def _coordinate_descent(fun, x0, budget, step0, step_min, ftol):
+def _coordinate_descent(fun, x0, budget, step0):
     x = np.array(x0, dtype=float)
     best = fun(x)
     evals = 1
     step = step0
-    while step > step_min and evals < budget:
+    while step > STEP_MIN and evals < budget:
         improved = False
         for k in range(x.size):
             for s in (step, -step):
@@ -237,14 +235,14 @@ def _coordinate_descent(fun, x0, budget, step0, step_min, ftol):
                 x[k] = old + s
                 v = fun(x)
                 evals += 1
-                if v < best - ftol:
+                if v < best - 1e-13:
                     best = v
                     improved = True
                     while evals < budget:  # ride the descent direction
                         x[k] += s
                         v2 = fun(x)
                         evals += 1
-                        if v2 < best - ftol:
+                        if v2 < best - 1e-13:
                             best = v2
                         else:
                             x[k] -= s
@@ -253,85 +251,90 @@ def _coordinate_descent(fun, x0, budget, step0, step_min, ftol):
                 x[k] = old
         if not improved:
             step *= 0.5
-    return x, best, evals, step <= step_min
+    return x, best, evals, step <= STEP_MIN
+
+
+def _givens_descent(fun, T0, budget):
+    """Coordinate descent in the Givens chart centred on the isometry T0:
+    T = W0 @ _stiefel(params) with W0 unitary and T0 its first columns, so
+    that params = 0 is T0 itself."""
+    m, r = T0.shape
+    W0, _ = np.linalg.qr(np.hstack([T0, np.eye(m)]))
+    W0[:, :r] = T0
+
+    def chart(params):
+        return W0 @ _stiefel(params, m, r)
+
+    pairs = m * r - r * (r + 1) // 2  # (angle, phase) per Givens rotation
+    x, val, evals, conv = _coordinate_descent(
+        lambda params: fun(chart(params)), np.zeros(2 * pairs + r), budget, STEP0)
+    return chart(x), val, evals, conv
 
 
 def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
-                 opts: RoofOptions) -> MeasureResult:
+                 opts: RoofOptions, value_grad=None) -> MeasureResult:
     """Minimize cost(probs, coeffs, raw) over ensembles of bounded size.
 
-    Ensembles are parametrized by isometries applied to the
-    eigen-decomposition, with Givens angles and phases as coordinates; the
-    search is derivative-free multi-start coordinate descent.
+    Ensembles are isometries T applied to the eigen-decomposition: member m
+    has raw vector (B @ T.T)[:, m] and oblique coefficients (Cc @ T.T)[:, m].
+    Every start in one list (identity, free-leaning, opts.extra_starts, then
+    seeded random isometries) is searched locally: by Riemannian descent when
+    value_grad(coeffs) supplies the cost and its gradient wrt conj(coeffs),
+    by Givens coordinate descent otherwise.  The best search wins; its cost
+    is reported without the balance tie-break.
     """
-    evals_all, evecs = eigh_sorted(rho.matrix)
-    keep = evals_all > RANK_TOL
-    lam = evals_all[keep]
-    E = evecs[:, keep]
-    r = lam.size
-    n = max(opts.ensemble_size_cap or r * r, r)
-    B = E * np.sqrt(lam)                        # d x r, raw = B @ T.T
+    B = weighted_eigvecs(rho)                   # d x r, raw = B @ T.T
     Cc = basis.biorthogonal_duals.conj().T @ B  # coeffs = Cc @ T.T
+    r = B.shape[1]
+    n = max(opts.ensemble_size_cap or r * r, r)
 
-    def raw_cost(T):
+    def members(T):
         raw = B @ T.T
-        probs = np.sum(np.abs(raw) ** 2, axis=0)
-        return cost(probs, Cc @ T.T, raw)
+        return np.sum(np.abs(raw) ** 2, axis=0), Cc @ T.T, raw
 
     if r == 1:
         T = np.eye(1, 1, dtype=complex)
-        value = raw_cost(T)
-        ens = ensemble_from_isometry(rho, T)
-        return MeasureResult(value=max(value, 0.0), certificate=ens,
+        return MeasureResult(value=max(cost(*members(T)), 0.0),
+                             certificate=ensemble_from_isometry(rho, T),
                              iterations=1, converged=True)
 
-    gamma = opts.balance_penalty
-
-    def fun(params):
-        T = _stiefel(params, n, r)
-        raw = B @ T.T
-        probs = np.sum(np.abs(raw) ** 2, axis=0)
-        return cost(probs, Cc @ T.T, raw) + gamma * float(np.sum(probs**2))
-
-    P = _stiefel_param_count(n, r)
-    rng = np.random.default_rng(opts.seed)
-    best_val = math.inf
-    best_params = None
-    best_conv = False
-    total_evals = 0
-    for restart in range(max(opts.restarts, 1)):
-        if restart == 0:
-            x0 = np.zeros(P)
-        else:
-            x0 = rng.uniform(-math.pi, math.pi, P)
-        x, val, ev, conv = _coordinate_descent(
-            fun, x0, budget=opts.max_evals, step0=opts.step0,
-            step_min=opts.step_min, ftol=1e-13)
-        total_evals += ev
-        if val < best_val - 1e-13:
-            best_val = val
-            best_params = x
-            best_conv = conv
-    T = _stiefel(best_params, n, r)
-    value = raw_cost(T)  # report without the tie-break penalty
-    # known decompositions compete as candidate solutions: caller-provided
-    # starts plus the free-leaning candidate aimed at the basis directions
-    # (exact when rho is free, where plateaued costs strand the search)
-    candidates = [np.asarray(e, dtype=complex) for e in opts.extra_starts]
-    q = np.clip(np.diag(np.linalg.inv(basis.vectors) @ rho.matrix
-                        @ np.linalg.inv(basis.vectors).conj().T).real, 0.0, None)
+    starts = [np.eye(n, r, dtype=complex)]
+    # free-leaning start: members aimed at the basis directions weighted by
+    # the coefficient diagonal; the exact optimum whenever rho is free
+    q = np.sum(np.abs(Cc) ** 2, axis=1)
     if q.sum() > 1e-12:
-        candidates.append((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T)
-    for extra in candidates:
-        if extra.ndim != 2 or extra.shape[1] != r or extra.shape[0] < r:
-            continue
-        Te = _retract(extra)
-        ve = raw_cost(Te)
-        if ve < value:
-            value, T = ve, Te
-    ens = ensemble_from_isometry(rho, T)
-    return MeasureResult(value=max(value, 0.0), certificate=ens,
-                         iterations=total_evals, converged=best_conv)
+        starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
+    for extra in opts.extra_starts:
+        extra = np.asarray(extra, dtype=complex)
+        if extra.ndim == 2 and extra.shape[1] == r and extra.shape[0] >= r:
+            starts.append(_retract(extra))
+    while len(starts) < max(opts.restarts, 1):
+        starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
+
+    def penalized(T):
+        probs, coeffs, raw = members(T)
+        return cost(probs, coeffs, raw) + BALANCE_PENALTY * float(np.sum(probs**2))
+
+    def penalized_grad(T):
+        probs, coeffs, raw = members(T)
+        val, G = value_grad(coeffs)
+        grad = G.T @ Cc.conj()
+        grad += ((2.0 * BALANCE_PENALTY) * (raw * probs[None, :])).T @ B.conj()
+        return val + BALANCE_PENALTY * float(np.sum(probs**2)), grad
+
+    best_val, best_T, best_conv, total = math.inf, None, False, 0
+    for T0 in starts:
+        if value_grad is not None:
+            T, val, evals = _riemannian_descent(penalized_grad, T0)
+            conv = True
+        else:
+            T, val, evals, conv = _givens_descent(penalized, T0, opts.max_evals)
+        total += evals
+        if val < best_val - 1e-14:
+            best_val, best_T, best_conv = val, T, conv
+    return MeasureResult(value=max(cost(*members(best_T)), 0.0),
+                         certificate=ensemble_from_isometry(rho, best_T),
+                         iterations=total, converged=best_conv)
 
 
 def _generic_cost(pure_measure, member_filter):
@@ -389,93 +392,22 @@ def _riemannian_descent(value_grad, T0, max_iter=400, gtol=1e-10):
             step *= 0.5
         if not accepted:
             break
-        if val - cval < 1e-11:
-            stall += 1
-            if stall >= 5:
-                T, val, G = cand, cval, cG
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if val - cval < 1e-11 else 0
         T, val, G = cand, cval, cG
+        if stall >= 5:
+            break
         step = min(step * 2.0, 10.0)
     return T, val, evals
 
 
-def _l1_roof_gradient(rho: DensityMatrix, basis: SuperpositionBasis,
-                      opts: RoofOptions) -> MeasureResult:
-    """Gradient-based ensemble search for the l1 roof.
-
-    The cost sum_m ((sum_i a_im)^2 - sum_i a_im^2) with a = |Chat^dag raw|
-    has an analytic (almost-everywhere) gradient in the isometry, so
-    manifold descent needs orders of magnitude fewer evaluations than the
-    derivative-free engine.
-    """
-    evals_all, evecs = eigh_sorted(rho.matrix)
-    keep = evals_all > RANK_TOL
-    lam = evals_all[keep]
-    E = evecs[:, keep]
-    r = lam.size
-    n = max(opts.ensemble_size_cap or r * r, r)
-    B = E * np.sqrt(lam)
-    Cc = basis.biorthogonal_duals.conj().T @ B
-    gamma = opts.balance_penalty
-    tiny = 1e-300
-
-    def value_grad(T):
-        X = Cc @ T.T
-        a = np.abs(X)
-        s = a.sum(axis=0)
-        cost = float(np.sum(s**2) - np.sum(a**2))
-        W = (2.0 * s[None, :] - 2.0 * a) * X / np.maximum(a, tiny)
-        grad = W.T @ Cc.conj()
-        raw = B @ T.T
-        p = np.sum(np.abs(raw) ** 2, axis=0)
-        cost += gamma * float(np.sum(p**2))
-        grad += ((2.0 * gamma) * (raw * p[None, :])).T @ B.conj()
-        return cost, grad
-
-    if r == 1:
-        T = np.eye(1, 1, dtype=complex)
-        a = np.abs(Cc)
-        value = float(a.sum() ** 2 - (a**2).sum())
-        return MeasureResult(value=max(value, 0.0),
-                             certificate=ensemble_from_isometry(rho, T),
-                             iterations=1, converged=True)
-
-    from .qstate import random_isometry
-
-    starts = [np.eye(n, r, dtype=complex)]
-    # free-leaning start: members aimed at the basis directions weighted by
-    # the coefficient diagonal; exact optimum whenever rho is free
-    R = np.linalg.inv(basis.vectors) @ rho.matrix @ np.linalg.inv(basis.vectors).conj().T
-    q = np.clip(np.diag(R).real, 0.0, None)
-    if q.sum() > 1e-12:
-        M = basis.vectors * np.sqrt(q)
-        T0 = (np.linalg.pinv(B) @ M).T
-        if T0.shape[0] >= r:
-            starts.append(_retract(T0))
-    for extra in opts.extra_starts:
-        extra = np.asarray(extra, dtype=complex)
-        if extra.ndim == 2 and extra.shape[1] == r and extra.shape[0] >= r:
-            starts.append(_retract(extra))
-    while len(starts) < max(opts.restarts, 1):
-        starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
-
-    best_val = math.inf
-    best_T = None
-    total = 0
-    for T0 in starts:
-        T, val, ev = _riemannian_descent(value_grad, T0)
-        total += ev
-        if val < best_val - 1e-14:
-            best_val = val
-            best_T = T
-    X = Cc @ best_T.T
+def _l1_value_grad(X):
+    """Ensemble l1 cost sum_m ((sum_i a_im)^2 - sum_i a_im^2), a = |X|, of
+    the member coefficient columns X, and its (almost-everywhere) gradient
+    wrt conj(X)."""
     a = np.abs(X)
-    value = float(np.sum(a.sum(axis=0) ** 2) - np.sum(a**2))
-    return MeasureResult(value=max(value, 0.0),
-                         certificate=ensemble_from_isometry(rho, best_T),
-                         iterations=total, converged=True)
+    s = a.sum(axis=0)
+    grad = (2.0 * s[None, :] - 2.0 * a) * X / np.maximum(a, 1e-300)
+    return float(np.sum(s**2) - np.sum(a**2)), grad
 
 
 def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
@@ -485,9 +417,7 @@ def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
     Useful for convexity checks: concatenating the optimal ensembles of the
     mixture components gives a decomposition of the mixture.
     """
-    evals_all, evecs = eigh_sorted(rho.matrix)
-    keep = evals_all > RANK_TOL
-    B = evecs[:, keep] * np.sqrt(evals_all[keep])
+    B = weighted_eigvecs(rho)
     raw = np.stack([math.sqrt(max(p, 0.0)) * phi.vector
                     for p, phi in weighted_members], axis=1)
     return (np.linalg.pinv(B) @ raw).T
@@ -505,7 +435,8 @@ def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
               opts: RoofOptions = RoofOptions()) -> MeasureResult:
     if opts.member_filter is not None:
         return convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
-    return _l1_roof_gradient(rho, basis, opts)
+    return _roof_engine(rho, basis, lambda probs, coeffs, raw: _l1_value_grad(coeffs)[0],
+                        opts, _l1_value_grad)
 
 
 def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,
@@ -580,7 +511,7 @@ def _require_real_basis(basis: SuperpositionBasis):
 
 
 def _delta_raw(matrix: np.ndarray, basis: SuperpositionBasis) -> np.ndarray:
-    Vinv = np.linalg.inv(basis.vectors)
+    Vinv = basis.biorthogonal_duals.conj().T
     R = Vinv @ matrix @ Vinv.conj().T
     Rp = 0.5 * (R + R.T)
     return basis.vectors @ Rp @ basis.vectors.conj().T
@@ -662,7 +593,6 @@ def max_measure_value(basis: SuperpositionBasis,
     best = 0.0
     for restart in range(restarts):
         x0 = rng.standard_normal(2 * d)
-        _, val, _, _ = _coordinate_descent(fun, x0, budget=max_evals,
-                                           step0=0.5, step_min=1e-4, ftol=1e-13)
+        _, val, _, _ = _coordinate_descent(fun, x0, max_evals, 0.5)
         best = max(best, -val)
     return best

@@ -118,9 +118,9 @@ def _check_dims(a: int, b: int):
 
 
 def coefficients_of(rho: DensityMatrix, basis: SuperpositionBasis) -> CoefficientMatrix:
-    """R with rho = V R V^dag, via congruence by the inverse basis matrix."""
+    """R with rho = V R V^dag, via congruence by V^-1 = (biorthogonal duals)^dag."""
     _check_dims(rho.dimension, basis.dimension)
-    Vinv = np.linalg.inv(basis.vectors)
+    Vinv = basis.biorthogonal_duals.conj().T
     R = Vinv @ rho.matrix @ Vinv.conj().T
     return CoefficientMatrix(entries=R, basis=basis)
 
@@ -179,16 +179,13 @@ def ensemble_from_isometry(rho: DensityMatrix, T: np.ndarray) -> Ensemble:
     sqrt(p_m)|phi_m> = sum_k T_mk sqrt(lambda_k) |e_k> for an isometry T
     applied to the eigen-decomposition."""
     T = np.asarray(T, dtype=complex)
-    evals, evecs = eigh_sorted(rho.matrix)
-    keep = evals > RANK_TOL
-    lam = evals[keep]
-    E = evecs[:, keep]
-    r = lam.size
+    B = weighted_eigvecs(rho)
+    r = B.shape[1]
     if T.ndim != 2 or T.shape[1] != r or T.shape[0] < r:
         raise NotIsometry(f"expected an n x {r} matrix with n >= {r}, got {T.shape}")
     if np.max(np.abs(T.conj().T @ T - np.eye(r))) > 1e-9:
         raise NotIsometry("T^dag T != I")
-    raw = (E * np.sqrt(lam)) @ T.T  # column m = unnormalized member m
+    raw = B @ T.T  # column m = unnormalized member m
     probs = np.linalg.norm(raw, axis=0) ** 2
     members = []
     for m in range(T.shape[0]):
@@ -196,6 +193,14 @@ def ensemble_from_isometry(rho: DensityMatrix, T: np.ndarray) -> Ensemble:
             continue
         members.append((float(probs[m]), PureState(raw[:, m] / np.sqrt(probs[m]))))
     return Ensemble(members=tuple(members))
+
+
+def weighted_eigvecs(rho: DensityMatrix) -> np.ndarray:
+    """d x r matrix B = E sqrt(lambda) of the eigenpairs above RANK_TOL, so
+    that rho = B B^dag."""
+    evals, evecs = eigh_sorted(rho.matrix)
+    keep = evals > RANK_TOL
+    return evecs[:, keep] * np.sqrt(evals[keep])
 
 
 def eigh_sorted(matrix: np.ndarray):

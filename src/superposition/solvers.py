@@ -9,12 +9,13 @@ linear objectives over spectrahedra with diagonal decision variables:
 Their block generalizations (generalized.py) replace diag(w) and diag(y) by
 block-diagonal Hermitian matrices.  One damped-Newton log-det barrier path,
 ``barrier_descent``, serves the plain and the block measures: each caller
-supplies the gradient and Hessian of its barrier objective in its own real
-coordinates and a strict-feasibility test.  Barrier continuation brings the
-duality gap well below the test tolerances for the d <= 8 instances this
-package targets (Boyd & Vandenberghe, Convex Optimization, section 11.3).
-The relative-entropy projection onto the free simplex uses
-exponentiated-gradient (mirror) descent.
+supplies, in its own real coordinates, its objective and log-barrier values
+(the barrier +inf outside the domain) and the gradient and Hessian of
+objective + t * barrier.  Barrier continuation brings the duality gap well
+below the test tolerances for the d <= 8 instances this package targets
+(Boyd & Vandenberghe, Convex Optimization, section 11.3).  The
+relative-entropy projection onto the free simplex uses exponentiated-gradient
+(mirror) descent.
 """
 
 import numpy as np
@@ -23,10 +24,16 @@ BARRIER_T0 = 1.0
 BARRIER_TMIN = 1e-9
 BARRIER_SHRINK = 0.12
 NEWTON_MAX = 60
+BARRIER_RAISES = 8
+ARMIJO = 0.25  # sufficient-decrease fraction of the Newton decrement
+WEIGHT_RIDGE = 1e-10
+MIRROR_TOL = 1e-11
+MIRROR_FLOOR = 1e-12
 
 
-def _newton_stage(x, grad_hess, feasible, t):
-    """Damped Newton on f_t at fixed barrier weight t."""
+def _newton_stage(x, fx, grad_hess, parts, t):
+    """Damped Newton on f_t = objective + t * barrier at fixed t, stepping
+    only on sufficient (Armijo) decrease.  fx = parts(x) on entry and exit."""
     iters = 0
     for _ in range(NEWTON_MAX):
         g, H = grad_hess(x, t)
@@ -37,53 +44,73 @@ def _newton_stage(x, grad_hess, feasible, t):
         decrement = float(-g @ dx)
         if decrement < 1e-14:
             break
+        f = fx[0] + t * fx[1]
         alpha = 1.0
         while alpha > 1e-12:
             trial = x + alpha * dx
-            if feasible(trial):
+            ft = parts(trial)
+            if ft[0] + t * ft[1] <= f - ARMIJO * alpha * decrement:
                 break
             alpha *= 0.5
         else:
             break
-        x = x + alpha * dx
+        x, fx = trial, ft
         iters += 1
         if decrement * alpha < 1e-13:
             break
-    return x, iters
+    return x, fx, iters
 
 
-def barrier_descent(x, grad_hess, feasible):
+def barrier_descent(x, grad_hess, parts):
     """Barrier continuation: damped-Newton centering at t = BARRIER_T0,
-    shrinking by BARRIER_SHRINK down to BARRIER_TMIN.
+    shrinking by BARRIER_SHRINK down to BARRIER_TMIN.  A stage that uses
+    all NEWTON_MAX steps is followed by one a grid step higher, at most
+    BARRIER_RAISES times.
 
-    grad_hess(x, t) returns the gradient and Hessian of the barrier objective
-    at weight t; feasible(x) tells whether x is strictly inside the domain.
-    Returns (x, total Newton iterations).
+    parts(x) returns the objective and the log-barrier term at x, the latter
+    +inf outside the domain; grad_hess(x, t) returns the gradient and
+    Hessian of f_t = objective + t * barrier.  Returns (x, total Newton
+    iterations).
     """
+    fx = parts(x)
     total = 0
+    raises = 0
     t = BARRIER_T0
     while t >= BARRIER_TMIN:
-        x, it = _newton_stage(x, grad_hess, feasible, t)
+        x, fx, it = _newton_stage(x, fx, grad_hess, parts, t)
         total += it
-        t *= BARRIER_SHRINK
+        # Such a stage has not reached the central path: far from it each
+        # damped step lowers f_t / t by a bounded amount, so on
+        # ill-conditioned bases the steps creep along the boundary.
+        if it == NEWTON_MAX and raises < BARRIER_RAISES:
+            t /= BARRIER_SHRINK
+            raises += 1
+        else:
+            t *= BARRIER_SHRINK
     return x, total
 
 
-def max_weight_diagonal(R: np.ndarray, eps: float = 1e-9):
-    """Maximize sum(w) subject to w >= 0 and diag(w) <= R + eps*I.
+def neg_logdet(M: np.ndarray) -> float:
+    """-log det of a Hermitian M, +inf unless M is positive definite."""
+    s = np.linalg.eigvalsh(M)  # ascending
+    return -float(np.log(s).sum()) if s[0] > 0 else np.inf
 
-    Returns (w, iterations).  The eps ridge guarantees a strictly feasible
-    interior even for rank-deficient R; it perturbs the optimum by O(d*eps).
+
+def max_weight_diagonal(R: np.ndarray):
+    """Maximize sum(w) subject to w >= 0 and diag(w) <= R + WEIGHT_RIDGE*I.
+
+    Returns (w, iterations).  The ridge keeps a strictly feasible interior
+    even for rank-deficient R; it perturbs the optimum by O(d*WEIGHT_RIDGE).
     """
     d = R.shape[0]
-    Re = R + eps * np.eye(d)
+    Re = R + WEIGHT_RIDGE * np.eye(d)
     lam_min = float(np.linalg.eigvalsh(Re).min())
-    w = np.full(d, max(lam_min, eps) * 0.5)
+    w = np.full(d, max(lam_min, WEIGHT_RIDGE) * 0.5)
 
-    def feasible(w):
-        if np.min(w) <= 0:
-            return False
-        return float(np.linalg.eigvalsh(Re - np.diag(w)).min()) > 0
+    def parts(w):
+        if w.min() <= 0:
+            return 0.0, np.inf
+        return -float(w.sum()), neg_logdet(Re - np.diag(w)) - float(np.log(w).sum())
 
     def grad_hess(w, t):
         Minv = np.linalg.inv(Re - np.diag(w))
@@ -91,7 +118,7 @@ def max_weight_diagonal(R: np.ndarray, eps: float = 1e-9):
         H = t * (np.abs(Minv) ** 2) + np.diag(t / w**2)
         return g, H
 
-    return barrier_descent(w, grad_hess, feasible)
+    return barrier_descent(w, grad_hess, parts)
 
 
 def min_dominating_diagonal(R: np.ndarray):
@@ -100,8 +127,8 @@ def min_dominating_diagonal(R: np.ndarray):
     lam_max = float(np.linalg.eigvalsh(R).max())
     y = np.full(d, lam_max + 1.0)
 
-    def feasible(y):
-        return float(np.linalg.eigvalsh(np.diag(y) - R).min()) > 0
+    def parts(y):
+        return float(y.sum()), neg_logdet(np.diag(y) - R)
 
     def grad_hess(y, t):
         Ninv = np.linalg.inv(np.diag(y) - R)
@@ -109,11 +136,10 @@ def min_dominating_diagonal(R: np.ndarray):
         H = t * (np.abs(Ninv) ** 2)
         return g, H
 
-    return barrier_descent(y, grad_hess, feasible)
+    return barrier_descent(y, grad_hess, parts)
 
 
-def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000,
-                           tol: float = 1e-11, floor: float = 1e-12):
+def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000):
     """Minimize a smooth convex function over the probability simplex by
     exponentiated-gradient descent with backtracking.
 
@@ -130,7 +156,7 @@ def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000,
         accepted = False
         while eta > 1e-14:
             trial = q * np.exp(-eta * step)
-            trial = np.maximum(trial, floor)
+            trial = np.maximum(trial, MIRROR_FLOOR)
             trial /= trial.sum()
             tval, tg = f_grad(trial)
             if tval <= val + 1e-15:
@@ -142,7 +168,7 @@ def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000,
         improvement = val - tval
         q, val, g = trial, tval, tg
         eta = min(eta * 2.0, 1e3)
-        if improvement < tol:
+        if improvement < MIRROR_TOL:
             stall += 1
             if stall >= 5:
                 return q, val, it, True

@@ -92,6 +92,22 @@ def test_robustness_certificate():
     assert np.max(np.abs(mix - sigma.matrix)) < 1e-6
 
 
+@pytest.mark.parametrize("d, state_seed, basis_seed, certified", [
+    (4, 102, 202, 12867.702916),   # cond(V) ~ 194
+    (8, 5807, 1807, 2705.893592),  # cond(V) ~ 89
+])
+def test_robustness_on_ill_conditioned_bases(d, state_seed, basis_seed, certified):
+    # the certified values are tight between the returned value and the
+    # dual bound Tr(ZR) - 1 from the unit-diagonal rescaling of
+    # (diag y - R)^-1; a barrier path that creeps along the boundary
+    # returns values far above them
+    rng = np.random.default_rng(basis_seed)
+    V = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    basis = build_basis(V / np.linalg.norm(V, axis=0))
+    value = m_robustness(random_density(d, d, state_seed), basis).value
+    assert abs(value - certified) <= 1e-6 * certified
+
+
 def test_weight_certificate():
     rho, basis = rho_x(0.25, 0.5)
     res = m_weight(rho, basis)

@@ -82,6 +82,8 @@ def test_rank_roof():
     # basis-aligned member, so the reported value is 1 bit
     assert abs(m_rank(rho, basis, opts).value - 1.0) < 1e-9
     assert m_rank(random_free(basis, 0), basis, opts).value == 0.0
+    # the free-leaning start is searched even with a single restart
+    assert m_rank(random_free(basis, 0), basis, RoofOptions(restarts=1)).value == 0.0
 
 
 def test_rel_ent_roof_dominates_rel_ent():
@@ -118,6 +120,11 @@ def test_ensemble_warm_start_is_isometry():
                        RoofOptions(ensemble_size_cap=2, restarts=1,
                                    extra_starts=(T,)))
     assert abs(seeded.value - res.value) < 1e-8
+    # the derivative-free search starts from the same list
+    generic = convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis),
+                          RoofOptions(ensemble_size_cap=2, restarts=1,
+                                      extra_starts=(T,)))
+    assert abs(generic.value - res.value) < 1e-8
 
 
 def test_rank_roof_matches_weight_on_qubit():
