@@ -23,7 +23,7 @@ from .errors import (
 )
 from .measures import MeasureResult
 from .qstate import DensityMatrix, coefficients_of
-from .solvers import barrier_descent, neg_logdet
+from .solvers import barrier_descent, robustness_barrier, weight_barrier
 
 
 @dataclass(frozen=True)
@@ -214,80 +214,21 @@ def random_block_free_channel(projectors: ObliqueProjectors, seed) -> KrausChann
 # generalized measures
 
 
-def _hermitian_basis(partition: BlockPartition, d: int) -> np.ndarray:
-    """Real-coordinate basis E, shape (n, d, d) with n = sum |b|^2, of the
-    block-diagonal Hermitian matrices: e_aa for every index a and, for every
-    pair a < c in one block, e_ac + e_ca and i(e_ac - e_ca)."""
-    E = []
-    for b in partition.blocks:
-        for pos, a in enumerate(b):
-            for c in b[pos:]:
-                for w in ((1.0,) if a == c else (1.0, 1j)):
-                    M = np.zeros((d, d), dtype=complex)
-                    M[a, c] = w
-                    M[c, a] = np.conj(w)
-                    E.append(M)
-    return np.array(E)
-
-
-def _coords(X: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Coordinates of a block-diagonal Hermitian X in the basis E."""
-    return np.tensordot(E.conj(), X, 2).real / (np.abs(E) ** 2).sum(axis=(1, 2))
-
-
-def _logdet_grad_hess(M: np.ndarray, E: np.ndarray):
-    """Tr(M^-1 E_k) and Tr(M^-1 E_k M^-1 E_l) for M > 0, from one eigh of M:
-    with K_k = S^-1/2 U^dag E_k U S^-1/2 they are Tr K_k and Tr(K_k K_l)."""
-    s, U = np.linalg.eigh(M)
-    A = U / np.sqrt(s)
-    K = A.conj().T @ E @ A
-    g = np.trace(K, axis1=1, axis2=2).real
-    K = K.reshape(len(E), -1)
-    return g, (K @ K.conj().T).real
-
-
 def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> MeasureResult:
     """1 - max Tr(B G) over block-diagonal B with B >= 0 and R - B >= 0,
-    working in oblique coordinates (congruence by V preserves positivity).
-
-    Barrier objective: -Tr(B G) - t logdet(R + eps I - B) - t logdet B.
+    working in oblique coordinates (congruence by V preserves positivity);
+    solvers.weight_barrier gives the LMI and its start.
     """
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
-    d = basis.dimension
     if is_block_free(rho, projectors, tol=1e-10):
         cert = {"B": _block_pinch(R, partition), "weight": 1.0}
         return MeasureResult(value=0.0, certificate=cert)
     G = basis.gram
-    E = _hermitian_basis(partition, d)
-    c = np.tensordot(E.conj(), G, 2).real  # Tr(E_k G)
-    eps = 1e-10
-    Reps = R + eps * np.eye(d)
-
-    def parts(x):
-        B = np.tensordot(x, E, 1)
-        return -float(c @ x), neg_logdet(Reps - B) + neg_logdet(B)
-
-    def grad_hess(x, t):
-        B = np.tensordot(x, E, 1)
-        gM, HM = _logdet_grad_hess(Reps - B, E)
-        gB, HB = _logdet_grad_hess(B, E)
-        return -c + t * (gM - gB), t * (HM + HB)
-
-    # start from a small multiple of the pinched coefficient matrix
-    beta = 0.5
-    pinched = _coords(_block_pinch(Reps, partition), E)
-    x0 = None
-    while beta > 1e-8:
-        if parts(beta * pinched)[1] < np.inf:
-            x0 = beta * pinched
-            break
-        beta *= 0.5
-    if x0 is None:
-        x0 = _coords(eps * np.eye(d), E)
-    x, iters = barrier_descent(x0, grad_hess, parts)
-    B = np.tensordot(x, E, 1)
+    problem, x0 = weight_barrier(R, G, partition.blocks)
+    x, iters = barrier_descent(x0, problem.grad_hess, problem.parts)
+    B = problem.matrix(x)[1]
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
     return MeasureResult(value=1.0 - weight, certificate={"B": B, "weight": weight},
                          iterations=iters)
@@ -296,30 +237,16 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
 def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> MeasureResult:
     """min Tr(C G) - 1 over block-diagonal C with C >= R; the optimizer
     normalized is the closest block-free state in the robustness sense.
-
-    Barrier objective: Tr(C G) - t logdet(C - R).
+    solvers.robustness_barrier gives the LMI and its start.
     """
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
-    d = basis.dimension
     if is_block_free(rho, projectors, tol=1e-10):
         return MeasureResult(value=0.0, certificate={"C": _block_pinch(R, partition)})
     G = basis.gram
-    E = _hermitian_basis(partition, d)
-    c = np.tensordot(E.conj(), G, 2).real  # Tr(E_k G)
-
-    def parts(x):
-        return float(c @ x), neg_logdet(np.tensordot(x, E, 1) - R)
-
-    def grad_hess(x, t):
-        g, H = _logdet_grad_hess(np.tensordot(x, E, 1) - R, E)
-        return c - t * g, t * H
-
-    pinched = _block_pinch(R, partition)
-    shift = max(float(np.linalg.eigvalsh(R - pinched).max()), 0.0) + 0.5
-    x0 = _coords(pinched + shift * np.eye(d), E)
-    x, iters = barrier_descent(x0, grad_hess, parts)
-    C = np.tensordot(x, E, 1)
+    problem, x0 = robustness_barrier(R, G, partition.blocks)
+    x, iters = barrier_descent(x0, problem.grad_hess, problem.parts)
+    C = problem.matrix(x)[0] + R
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)
     return MeasureResult(value=value, certificate={"C": C}, iterations=iters)

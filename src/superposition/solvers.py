@@ -1,21 +1,22 @@
 """Small convex solvers shared by the measure implementations.
 
 The weight and robustness measures reduce, in oblique coordinates, to
-linear objectives over spectrahedra with diagonal decision variables:
+linear objectives over block-diagonal Hermitian matrices B and C, one block
+per block of a partition of the basis indices (generalized.py):
 
-    weight:      maximize sum(w)  s.t.  0 <= diag(w) <= R
-    robustness:  minimize sum(y)  s.t.  diag(y) >= R   (value = sum(y) - 1)
+    weight:      maximize Tr(B G)  s.t.  0 <= B <= R
+    robustness:  minimize Tr(C G)  s.t.  C >= R   (value = Tr(C G) - 1)
 
-Their block generalizations (generalized.py) replace diag(w) and diag(y) by
-block-diagonal Hermitian matrices.  One damped-Newton log-det barrier path,
-``barrier_descent``, serves the plain and the block measures: each caller
-supplies, in its own real coordinates, its objective and log-barrier values
-(the barrier +inf outside the domain) and the gradient and Hessian of
-objective + t * barrier.  Barrier continuation brings the duality gap well
-below the test tolerances for the d <= 8 instances this package targets
-(Boyd & Vandenberghe, Convex Optimization, section 11.3).  The
-relative-entropy projection onto the free simplex uses exponentiated-gradient
-(mirror) descent.
+Singleton blocks with G = I give the plain measures, over diag(w) and
+diag(y).  Both programs are linear matrix inequalities in the real
+coordinates of B or C (``weight_barrier``, ``robustness_barrier``), and one
+class, ``LogDetBarrier``, supplies the objective, the log-det barrier and its
+gradient and Hessian for every partition.  ``barrier_descent`` follows the
+damped-Newton barrier path; continuation brings the duality gap well below
+the test tolerances for the d <= 8 instances this package targets (Boyd &
+Vandenberghe, Convex Optimization, section 11.3).  The relative-entropy
+projection onto the free simplex uses exponentiated-gradient (mirror)
+descent.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ ARMIJO = 0.25  # sufficient-decrease fraction of the Newton decrement
 WEIGHT_RIDGE = 1e-10
 MIRROR_TOL = 1e-11
 MIRROR_FLOOR = 1e-12
+MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged when no step decreases
 
 
 def _newton_stage(x, fx, grad_hess, parts, t):
@@ -90,53 +92,114 @@ def barrier_descent(x, grad_hess, parts):
     return x, total
 
 
-def neg_logdet(M: np.ndarray) -> float:
-    """-log det of a Hermitian M, +inf unless M is positive definite."""
-    s = np.linalg.eigvalsh(M)  # ascending
-    return -float(np.log(s).sum()) if s[0] > 0 else np.inf
+def _hermitian_coordinates(blocks):
+    """Real coordinates of the block-diagonal Hermitian matrices over
+    `blocks`: arrays (r, s, w) whose coordinate k has the matrix with w_k at
+    (r_k, s_k) and conj(w_k) at (s_k, r_k): (a, a, 1) for every index a,
+    (a, c, 1) and (a, c, i) for every pair a != c in one block."""
+    r, s, w = zip(*[(a, c, wk) for b in blocks for pos, a in enumerate(b) for c in b[pos:]
+                    for wk in ((1.0,) if a == c else (1.0, 1j))])
+    return np.array(r), np.array(s), np.array(w, dtype=complex)
+
+
+class LogDetBarrier:
+    """Minimize Tr(K F(x)) subject to F(x) > 0, where F(x) is block
+    diagonal with blocks F0[p] + sum_k x_k F_pk, F_pk the Hermitian matrix
+    with w[p, k] at (rows[p, k], cols[p, k]).
+
+    parts and grad_hess are barrier_descent's callbacks for -log det F(x),
+    whose value and domain come from one Cholesky.  With W = F(x)^-1 its
+    gradient is -Tr(W F_k) and its Hessian Tr(W F_k W F_l) (Boyd &
+    Vandenberghe, section 11.6); each F_pk has at most two nonzero entries,
+    so the Hessian is gathered from W by index.
+    """
+
+    def __init__(self, F0, K, rows, cols, w):
+        P, d, _ = F0.shape
+        p, k = np.arange(P)[:, None], np.arange(w.shape[1])
+        A = np.zeros(F0.shape + k.shape, dtype=complex)
+        A[p, rows, cols, k] = w
+        A[p, cols, rows, k] = w.conj()
+        self._F0, self._A = F0, A.reshape(-1, k.size)
+        self._Ac = self._A.conj()
+        self._c = self._traces(K)
+        self._last = None, None
+        # F_pk = a e_rs + conj(a) e_sr, so Tr(W F_k W F_l) is the sum over p of
+        # 2 Re(a_k a_l W[s_k, r_l] W[s_l, r_k] + a_k conj(a_l) W[s_k, s_l] W[r_l, r_k])
+        a = np.where(rows == cols, 0.5 * w, w)[:, :, None]
+
+        def at(i, j):  # flat indices of W[p, i_k, j_l]
+            return (p * d + i)[:, :, None] * d + j[:, None, :]
+
+        self._ix = np.array([at(cols, rows), at(cols, cols)])
+        self._iy = np.array([at(cols, rows), at(rows, rows)]).swapaxes(2, 3)
+        aT = a.swapaxes(1, 2)
+        self._coef = 2.0 * np.array([a * aT, a * aT.conj()])
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of F(x), shape (P, d, d)."""
+        return self._F0 + (self._A @ x).reshape(self._F0.shape)
+
+    def _traces(self, X: np.ndarray) -> np.ndarray:
+        """Tr(X F_k) for every k, X Hermitian and shaped like F0."""
+        return (X.ravel() @ self._Ac).real
+
+    def parts(self, x: np.ndarray):
+        F = self.matrix(x)
+        self._last = x, F  # barrier_descent takes grad_hess where it last took parts
+        try:
+            L = np.linalg.cholesky(F)
+        except np.linalg.LinAlgError:
+            return float(self._c @ x), np.inf
+        return float(self._c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
+
+    def grad_hess(self, x: np.ndarray, t: float):
+        x_last, F = self._last
+        W = np.linalg.inv(F if x is x_last else self.matrix(x))
+        H = (self._coef * W.take(self._ix) * W.take(self._iy)).real.sum(axis=(0, 1))
+        return self._c - t * self._traces(W), t * H
+
+
+def weight_barrier(R: np.ndarray, G: np.ndarray, blocks):
+    """max Tr(B G) over block-diagonal 0 <= B <= R + WEIGHT_RIDGE*I as the
+    LMI diag(R + WEIGHT_RIDGE*I - B, B) > 0; the ridge keeps an interior for
+    rank-deficient R.  Returns (problem, start), the start
+    0.5*max(lambda_min(R + WEIGHT_RIDGE*I), WEIGHT_RIDGE)*I being feasible
+    for every partition."""
+    d = R.shape[0]
+    r, s, w = _hermitian_coordinates(blocks)
+    Re = R + WEIGHT_RIDGE * np.eye(d)
+    Z = np.zeros((d, d))
+    problem = LogDetBarrier(np.array([Re, Z]), np.array([Z, -G]),
+                            np.array([r, r]), np.array([s, s]), np.array([-w, w]))
+    return problem, 0.5 * max(float(np.linalg.eigvalsh(Re)[0]), WEIGHT_RIDGE) * (r == s)
+
+
+def robustness_barrier(R: np.ndarray, G: np.ndarray, blocks):
+    """min Tr(C G) over block-diagonal C >= R as the LMI C - R > 0.  Returns
+    (problem, start), the start pinch(R) + (lambda_max(R - pinch R)_+ + 1/2)*I
+    being feasible; pinch keeps the diagonal blocks."""
+    r, s, w = _hermitian_coordinates(blocks)
+    problem = LogDetBarrier(-R[None], G[None], r[None], s[None], w[None])
+    pinched = (w.conj() * R[r, s]).real
+    off = -problem.matrix(pinched)[0]  # R - pinch(R)
+    return problem, pinched + (max(float(np.linalg.eigvalsh(off)[-1]), 0.0) + 0.5) * (r == s)
 
 
 def max_weight_diagonal(R: np.ndarray):
-    """Maximize sum(w) subject to w >= 0 and diag(w) <= R + WEIGHT_RIDGE*I.
-
-    Returns (w, iterations).  The ridge keeps a strictly feasible interior
-    even for rank-deficient R; it perturbs the optimum by O(d*WEIGHT_RIDGE).
-    """
+    """Maximize sum(w) subject to 0 <= diag(w) <= R + WEIGHT_RIDGE*I: the
+    singleton blocks of weight_barrier, G = I.  Returns (w, iterations)."""
     d = R.shape[0]
-    Re = R + WEIGHT_RIDGE * np.eye(d)
-    lam_min = float(np.linalg.eigvalsh(Re).min())
-    w = np.full(d, max(lam_min, WEIGHT_RIDGE) * 0.5)
-
-    def parts(w):
-        if w.min() <= 0:
-            return 0.0, np.inf
-        return -float(w.sum()), neg_logdet(Re - np.diag(w)) - float(np.log(w).sum())
-
-    def grad_hess(w, t):
-        Minv = np.linalg.inv(Re - np.diag(w))
-        g = -1.0 + t * np.diag(Minv).real - t / w
-        H = t * (np.abs(Minv) ** 2) + np.diag(t / w**2)
-        return g, H
-
-    return barrier_descent(w, grad_hess, parts)
+    problem, w = weight_barrier(R, np.eye(d), [(k,) for k in range(d)])
+    return barrier_descent(w, problem.grad_hess, problem.parts)
 
 
 def min_dominating_diagonal(R: np.ndarray):
-    """Minimize sum(y) subject to diag(y) >= R.  Returns (y, iterations)."""
+    """Minimize sum(y) subject to diag(y) >= R: the singleton blocks of
+    robustness_barrier, G = I.  Returns (y, iterations)."""
     d = R.shape[0]
-    lam_max = float(np.linalg.eigvalsh(R).max())
-    y = np.full(d, lam_max + 1.0)
-
-    def parts(y):
-        return float(y.sum()), neg_logdet(np.diag(y) - R)
-
-    def grad_hess(y, t):
-        Ninv = np.linalg.inv(np.diag(y) - R)
-        g = 1.0 - t * np.diag(Ninv).real
-        H = t * (np.abs(Ninv) ** 2)
-        return g, H
-
-    return barrier_descent(y, grad_hess, parts)
+    problem, y = robustness_barrier(R, np.eye(d), [(k,) for k in range(d)])
+    return barrier_descent(y, problem.grad_hess, problem.parts)
 
 
 def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000):
@@ -144,7 +207,8 @@ def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000):
     exponentiated-gradient descent with backtracking.
 
     f_grad(q) returns (value, gradient).  Returns (q, value, iterations,
-    converged).
+    converged).  When no step size decreases the value, converged says
+    whether the Frank-Wolfe gap <g, q> - min g is at most MIRROR_GAP.
     """
     q = np.full(d, 1.0 / d)
     val, g = f_grad(q)
@@ -153,18 +217,16 @@ def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000):
     it = 0
     for it in range(1, max_iter + 1):
         step = g - g.min()  # shift for numerical stability of exp
-        accepted = False
         while eta > 1e-14:
             trial = q * np.exp(-eta * step)
             trial = np.maximum(trial, MIRROR_FLOOR)
             trial /= trial.sum()
             tval, tg = f_grad(trial)
             if tval <= val + 1e-15:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
-            break
+        else:
+            return q, val, it, float(g @ q - g.min()) <= MIRROR_GAP
         improvement = val - tval
         q, val, g = trial, tval, tg
         eta = min(eta * 2.0, 1e3)

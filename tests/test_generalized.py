@@ -8,6 +8,7 @@ from superposition import (
     block_dephase,
     block_projectors,
     block_shift_channel,
+    build_basis,
     coefficients_of,
     constant_overlap_basis,
     contiguous_partition,
@@ -54,8 +55,6 @@ def test_projector_invariants():
 
 
 def test_singleton_blocks_orthonormal_basis():
-    from superposition import build_basis
-
     basis = build_basis(np.eye(3))
     proj = block_projectors(basis, BlockPartition(((0,), (1,), (2,))))
     for k, E in enumerate(proj.operators):
@@ -175,15 +174,8 @@ def _dual_lower_bound(measure, result, R, G, blocks):
     return 1.0 - scale * float(np.trace(Z @ R).real)
 
 
-@pytest.mark.parametrize("measure, d, cuts", [
-    (m_weight_generalized, 3, [1]),
-    (m_robustness_generalized, 3, [1]),
-    (m_weight_generalized, 4, [2]),
-    (m_robustness_generalized, 4, [2]),
-    (m_robustness_generalized, 6, [2, 4]),
-])
-def test_generalized_certificates_are_optimal(measure, d, cuts):
-    basis = constant_overlap_basis(d, 0.5)
+def _assert_certificates_are_optimal(measure, basis, cuts):
+    d = basis.dimension
     proj = block_projectors(basis, contiguous_partition(d, cuts))
     for seed in range(3):
         rho = random_density(d, d, seed)
@@ -192,6 +184,34 @@ def test_generalized_certificates_are_optimal(measure, d, cuts):
         lower = _dual_lower_bound(measure, result, R, basis.gram, proj.partition.blocks)
         assert lower <= result.value + 1e-9
         assert result.value - lower <= 1e-6
+
+
+@pytest.mark.parametrize("measure, d, cuts", [
+    (m_weight_generalized, 3, [1]),
+    (m_robustness_generalized, 3, [1]),
+    (m_weight_generalized, 4, [2]),
+    (m_robustness_generalized, 4, [2]),
+    (m_robustness_generalized, 6, [2, 4]),
+    # singleton blocks: the plain measures, checked against a dual point
+    # rather than against the same solver
+    (m_weight_generalized, 4, [1, 2, 3]),
+    (m_robustness_generalized, 4, [1, 2, 3]),
+    (m_weight_generalized, 8, list(range(1, 8))),
+    (m_robustness_generalized, 8, list(range(1, 8))),
+])
+def test_generalized_certificates_are_optimal(measure, d, cuts):
+    _assert_certificates_are_optimal(measure, constant_overlap_basis(d, 0.5), cuts)
+
+
+@pytest.mark.parametrize("measure", [m_weight_generalized, m_robustness_generalized])
+def test_singleton_certificates_are_optimal_on_ill_conditioned_basis(measure):
+    # cond(V) ~ 194; robustness values reach 2e4 here.  Only singleton
+    # blocks: for wider blocks the weight's dual point inv(R + 1e-10 - B)
+    # is itself off by up to 1e-4 on this basis.
+    rng = np.random.default_rng(202)
+    V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    _assert_certificates_are_optimal(measure, build_basis(V / np.linalg.norm(V, axis=0)),
+                                     [1, 2, 3])
 
 
 def test_generalized_measures_vanish_iff_block_free():

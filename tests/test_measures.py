@@ -82,6 +82,15 @@ def test_rel_ent_certificate_reproduces_value():
     assert abs(relative_entropy(rho, sigma) - res.value) < 1e-6
 
 
+def test_rel_ent_converged_when_line_search_stops_at_the_optimum():
+    # here no step size decreases the value after 12 iterations, with a
+    # Frank-Wolfe gap of about 2e-7: the optimum, not a stall
+    rng = np.random.default_rng(5073)
+    V = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    res = m_rel_ent(random_density(8, 8, 1073), build_basis(V / np.linalg.norm(V, axis=0)))
+    assert res.converged
+
+
 def test_robustness_certificate():
     rho, basis = rho_x(0.25, 0.5)
     res = m_robustness(rho, basis)
