@@ -42,6 +42,9 @@ STEP_MIN = 1e-4
 # prefers balanced weights among equal-cost decompositions.  Reported roof
 # values never include it.
 BALANCE_PENALTY = 1e-6
+# A roof search stops once the reported cost of a decomposition is within
+# this distance of the certified lower bound it was given.
+ROOF_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,9 @@ class MeasureResult:
 class RoofOptions:
     """Knobs for the ensemble-decomposition search.
 
-    ensemble_size_cap defaults to rank squared.  restarts is the number of
-    starts searched; max_evals bounds one derivative-free search.
+    ensemble_size_cap defaults to rank squared.  restarts is the most
+    starts searched (fewer once one meets the roof's lower bound); max_evals
+    bounds one derivative-free search.
     member_filter restricts the admissible pure members (roofs over a
     restricted closed set); decompositions containing a rejected member are
     discarded.
@@ -272,16 +276,22 @@ def _givens_descent(fun, T0, budget):
 
 
 def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
-                 opts: RoofOptions, value_grad=None) -> MeasureResult:
+                 opts: RoofOptions, value_grad=None,
+                 lower: float = 0.0) -> MeasureResult:
     """Minimize cost(probs, coeffs, raw) over ensembles of bounded size.
 
     Ensembles are isometries T applied to the eigen-decomposition: member m
     has raw vector (B @ T.T)[:, m] and oblique coefficients (Cc @ T.T)[:, m].
-    Every start in one list (identity, free-leaning, opts.extra_starts, then
-    seeded random isometries) is searched locally: by Riemannian descent when
-    value_grad(coeffs) supplies the cost and its gradient wrt conj(coeffs),
-    by Givens coordinate descent otherwise.  The best search wins; its cost
-    is reported without the balance tie-break.
+    The starts form one list (identity, free-leaning, opts.extra_starts, then
+    seeded random isometries).  lower is a certified lower bound on the
+    roof.  If the cost of some start is within ROOF_GAP of it, the cheapest
+    such start is returned unsearched.  Otherwise the starts are searched
+    locally in list order: by Riemannian descent when value_grad(coeffs)
+    supplies the cost and its gradient wrt conj(coeffs), by Givens
+    coordinate descent otherwise, until the best search comes within
+    ROOF_GAP of lower.  The best search wins; its cost is reported without
+    the balance tie-break.  A result within ROOF_GAP of lower is converged,
+    and iterations counts every cost evaluation, the start checks included.
     """
     B = weighted_eigvecs(rho)                   # d x r, raw = B @ T.T
     Cc = basis.biorthogonal_duals.conj().T @ B  # coeffs = Cc @ T.T
@@ -292,11 +302,14 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
         raw = B @ T.T
         return np.sum(np.abs(raw) ** 2, axis=0), Cc @ T.T, raw
 
+    def result(T, value, total, conv):
+        return MeasureResult(value=max(value, 0.0),
+                             certificate=ensemble_from_isometry(rho, T),
+                             iterations=total, converged=conv)
+
     if r == 1:
         T = np.eye(1, 1, dtype=complex)
-        return MeasureResult(value=max(cost(*members(T)), 0.0),
-                             certificate=ensemble_from_isometry(rho, T),
-                             iterations=1, converged=True)
+        return result(T, cost(*members(T)), 1, True)
 
     starts = [np.eye(n, r, dtype=complex)]
     # free-leaning start: members aimed at the basis directions weighted by
@@ -322,7 +335,13 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
         grad += ((2.0 * BALANCE_PENALTY) * (raw * probs[None, :])).T @ B.conj()
         return val + BALANCE_PENALTY * float(np.sum(probs**2)), grad
 
-    best_val, best_T, best_conv, total = math.inf, None, False, 0
+    start_costs = [cost(*members(T0)) for T0 in starts]
+    total = len(starts)
+    cheapest = min(range(len(starts)), key=start_costs.__getitem__)
+    if start_costs[cheapest] - lower <= ROOF_GAP:
+        return result(starts[cheapest], start_costs[cheapest], total, True)
+
+    best_val, best_T, best_conv = math.inf, None, False
     for T0 in starts:
         if value_grad is not None:
             T, val, evals = _riemannian_descent(penalized_grad, T0)
@@ -332,9 +351,12 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
         total += evals
         if val < best_val - 1e-14:
             best_val, best_T, best_conv = val, T, conv
-    return MeasureResult(value=max(cost(*members(best_T)), 0.0),
-                         certificate=ensemble_from_isometry(rho, best_T),
-                         iterations=total, converged=best_conv)
+            best_cost = cost(*members(best_T))
+            total += 1
+            if best_cost - lower <= ROOF_GAP:
+                best_conv = True
+                break
+    return result(best_T, best_cost, total, best_conv)
 
 
 def _generic_cost(pure_measure, member_filter):
@@ -427,7 +449,11 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                 pure_measure: Callable[[PureState], float],
                 opts: RoofOptions = RoofOptions()) -> MeasureResult:
     """Approximate min over decompositions of the ensemble average of a
-    pure-state measure; the result is an upper bound on the true roof."""
+    pure-state measure; the result is an upper bound on the true roof.
+
+    pure_measure must be nonnegative, as every superposition measure is:
+    the search stops at a decomposition of cost within ROOF_GAP of 0.
+    """
     return _roof_engine(rho, basis, _generic_cost(pure_measure, opts.member_filter), opts)
 
 
@@ -436,7 +462,7 @@ def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     if opts.member_filter is not None:
         return convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
     return _roof_engine(rho, basis, lambda probs, coeffs, raw: _l1_value_grad(coeffs)[0],
-                        opts, _l1_value_grad)
+                        opts, _l1_value_grad, lower=m_l1(rho, basis).value)
 
 
 def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,

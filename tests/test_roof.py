@@ -16,10 +16,13 @@ from superposition import (
     random_free,
     rho_x,
 )
-from superposition.measures import ensemble_warm_start
+from superposition.harness import CAMPAIGN_ROOF_OPTS
+from superposition.measures import ROOF_GAP, ensemble_warm_start
 from superposition.qstate import DensityMatrix, PureState
 
 FAST = RoofOptions(ensemble_size_cap=2, restarts=6)
+# the axiom campaigns' roof settings: cap r, 8 restarts, 1200 evaluations
+CAMPAIGN = RoofOptions(ensemble_size_cap=1, **CAMPAIGN_ROOF_OPTS)
 
 
 def test_roof_closed_form_on_rho_x_family():
@@ -29,6 +32,9 @@ def test_roof_closed_form_on_rho_x_family():
             res = m_l1_roof(rho, basis, FAST)
             want = 2 * abs(x) / (1 + 2 * mu * x)
             assert abs(res.value - want) < 1e-6
+            # a start meets the m_l1 bound, so no start is searched
+            assert res.value - m_l1(rho, basis).value <= ROOF_GAP
+            assert res.iterations <= 6 and res.converged
 
 
 def test_roof_certificate_equal_weights():
@@ -64,6 +70,13 @@ def test_roof_vanishes_on_free():
         opts = RoofOptions(ensemble_size_cap=1, restarts=4)
         for seed in range(5):
             assert m_l1_roof(random_free(basis, seed), basis, opts).value < 1e-6
+    # the free-leaning start is exact, so the search stops at the start checks
+    for d in (3, 4):
+        basis = constant_overlap_basis(d, 0.5)
+        for seed in range(3):
+            res = m_l1_roof(random_free(basis, seed), basis, CAMPAIGN)
+            assert res.value <= 1e-9
+            assert res.iterations <= 8 and res.converged
 
 
 def test_roof_pure_state_is_plain_value():
@@ -84,6 +97,12 @@ def test_rank_roof():
     assert m_rank(random_free(basis, 0), basis, opts).value == 0.0
     # the free-leaning start is searched even with a single restart
     assert m_rank(random_free(basis, 0), basis, RoofOptions(restarts=1)).value == 0.0
+    for d in (3, 4):
+        basis = constant_overlap_basis(d, 0.5)
+        for seed in range(3):
+            res = m_rank(random_free(basis, seed), basis, CAMPAIGN)
+            assert res.value == 0.0
+            assert res.iterations <= 8 and res.converged
 
 
 def test_rel_ent_roof_dominates_rel_ent():
