@@ -76,9 +76,12 @@ class MeasureResult:
 class RoofOptions:
     """Knobs for the ensemble-decomposition search.
 
-    ensemble_size_cap defaults to rank squared.  restarts is the most
-    starts searched (fewer once one meets the roof's lower bound); max_evals
-    bounds one derivative-free search.
+    ensemble_size_cap defaults to rank squared.  It sets the member count of
+    the identity and the random starts only: the free-leaning start has d
+    members and each of extra_starts as many as it has rows, so a search
+    from one of them can return a larger ensemble than the cap.  restarts
+    is the most starts searched (fewer once one meets the roof's lower
+    bound); max_evals bounds one derivative-free search.
     member_filter restricts the admissible pure members (roofs over a
     restricted closed set); decompositions containing a rejected member are
     discarded.
@@ -286,12 +289,16 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     seeded random isometries).  lower is a certified lower bound on the
     roof.  If the cost of some start is within ROOF_GAP of it, the cheapest
     such start is returned unsearched.  Otherwise the starts are searched
-    locally in list order: by Riemannian descent when value_grad(coeffs)
-    supplies the cost and its gradient wrt conj(coeffs), by Givens
-    coordinate descent otherwise, until the best search comes within
-    ROOF_GAP of lower.  The best search wins; its cost is reported without
-    the balance tie-break.  A result within ROOF_GAP of lower is converged,
-    and iterations counts every cost evaluation, the start checks included.
+    locally on the cost plus the balance tie-break: all at once, one stack
+    per start shape, by Riemannian descent when value_grad(coeffs) supplies
+    the cost and its gradient wrt conj(coeffs) (for each of a stack of
+    coeffs); one after another by Givens coordinate descent otherwise.
+    Taking the starts in list order, each start and then its search's end
+    point, the decomposition of lowest cost wins (exact ties to the
+    earlier); this stops, and no further Givens search runs, once the
+    winner is within ROOF_GAP of lower.
+    A result within ROOF_GAP of lower is converged, and iterations counts
+    every cost evaluation, the start checks and every search included.
     """
     B = weighted_eigvecs(rho)                   # d x r, raw = B @ T.T
     Cc = basis.biorthogonal_duals.conj().T @ B  # coeffs = Cc @ T.T
@@ -299,8 +306,8 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     n = max(opts.ensemble_size_cap or r * r, r)
 
     def members(T):
-        raw = B @ T.T
-        return np.sum(np.abs(raw) ** 2, axis=0), Cc @ T.T, raw
+        raw = B @ T.swapaxes(-1, -2)
+        return (np.abs(raw) ** 2).sum(axis=-2), Cc @ T.swapaxes(-1, -2), raw
 
     def result(T, value, total, conv):
         return MeasureResult(value=max(value, 0.0),
@@ -331,9 +338,10 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     def penalized_grad(T):
         probs, coeffs, raw = members(T)
         val, G = value_grad(coeffs)
-        grad = G.T @ Cc.conj()
-        grad += ((2.0 * BALANCE_PENALTY) * (raw * probs[None, :])).T @ B.conj()
-        return val + BALANCE_PENALTY * float(np.sum(probs**2)), grad
+        grad = G.swapaxes(-1, -2) @ Cc.conj()
+        balance = (2.0 * BALANCE_PENALTY) * (raw * probs[..., None, :])
+        grad += balance.swapaxes(-1, -2) @ B.conj()
+        return val + BALANCE_PENALTY * (probs**2).sum(axis=-1), grad
 
     start_costs = [cost(*members(T0)) for T0 in starts]
     total = len(starts)
@@ -341,21 +349,21 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     if start_costs[cheapest] - lower <= ROOF_GAP:
         return result(starts[cheapest], start_costs[cheapest], total, True)
 
-    best_val, best_T, best_conv = math.inf, None, False
-    for T0 in starts:
-        if value_grad is not None:
-            T, val, evals = _riemannian_descent(penalized_grad, T0)
-            conv = True
-        else:
-            T, val, evals, conv = _givens_descent(penalized, T0, opts.max_evals)
-        total += evals
-        if val < best_val - 1e-14:
-            best_val, best_T, best_conv = val, T, conv
-            best_cost = cost(*members(best_T))
-            total += 1
-            if best_cost - lower <= ROOF_GAP:
-                best_conv = True
-                break
+    if value_grad is not None:
+        found = _stacked_riemannian_descent(penalized_grad, starts)
+        total += sum(evals for _, _, evals in found)
+        searches = ((T, val, 0, True) for T, val, _ in found)
+    else:
+        searches = (_givens_descent(penalized, T0, opts.max_evals) for T0 in starts)
+    best_cost, best_T, best_conv = math.inf, None, False
+    for T0, start_cost, (T, _, evals, conv) in zip(starts, start_costs, searches):
+        total += evals + 1
+        for c, X in ((start_cost, T0), (cost(*members(T)), T)):
+            if c < best_cost:
+                best_cost, best_T, best_conv = c, X, conv
+        if best_cost - lower <= ROOF_GAP:
+            best_conv = True
+            break
     return result(best_T, best_cost, total, best_conv)
 
 
@@ -378,8 +386,8 @@ def _generic_cost(pure_measure, member_filter):
 
 
 def _project_stiefel_tangent(T, G):
-    A = T.conj().T @ G
-    return G - T @ (0.5 * (A + A.conj().T))
+    A = T.conj().swapaxes(-1, -2) @ G
+    return G - T @ (0.5 * (A + A.conj().swapaxes(-1, -2)))
 
 
 def _retract(M):
@@ -388,48 +396,60 @@ def _retract(M):
     return U @ Vh
 
 
-def _riemannian_descent(value_grad, T0, max_iter=400, gtol=1e-10):
-    """Backtracking gradient descent on the Stiefel manifold.
+def _stacked_riemannian_descent(value_grad, starts, max_iter=400, gtol=1e-10):
+    """Backtracking gradient descent on the Stiefel manifold from each start,
+    all starts of one shape in lockstep as one stack.
 
-    value_grad(T) returns (value, Euclidean gradient wrt conj(T)).
+    value_grad(T) takes a stack T of isometries and returns their values and
+    Euclidean gradients wrt conj(T).  Every start keeps its own step size,
+    stall counter and iteration count, so it follows the trajectory it would
+    follow alone; a start that stops leaves the stack.  A start stops when
+    its projected gradient is below gtol, after max_iter accepted steps,
+    after 5 steps that each gain < 1e-11, or when its backtracking step falls
+    to 1e-13.  Returns (T, value, evaluations) per start, in order.
     """
-    T = T0
-    val, G = value_grad(T)
-    evals = 1
-    step = 1.0
-    stall = 0
-    for _ in range(max_iter):
+    found = [None] * len(starts)
+    for shape in dict.fromkeys(T0.shape for T0 in starts):
+        idx = np.array([i for i, T0 in enumerate(starts) if T0.shape == shape])
+        T = np.stack([starts[i] for i in idx])
+        val, G = value_grad(T)
         PG = _project_stiefel_tangent(T, G)
-        gn = float(np.linalg.norm(PG))
-        if gn < gtol:
-            break
-        accepted = False
-        while step > 1e-13:
-            cand = _retract(T - step * PG)
+        k = len(idx)
+        evals, iters = np.ones(k, dtype=int), np.zeros(k, dtype=int)
+        step, stall = np.ones(k), np.zeros(k, dtype=int)
+        stop = np.linalg.norm(PG, axis=(-2, -1)) < gtol
+        while True:
+            if stop.any():
+                for j in np.flatnonzero(stop):
+                    found[idx[j]] = (T[j], float(val[j]), int(evals[j]))
+                keep = ~stop
+                T, val, PG, step, stall = T[keep], val[keep], PG[keep], step[keep], stall[keep]
+                idx, evals, iters = idx[keep], evals[keep], iters[keep]
+                if not idx.size:
+                    break
+            cand = _retract(T - step[:, None, None] * PG)
             cval, cG = value_grad(cand)
             evals += 1
-            if cval < val - 1e-14:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        stall = stall + 1 if val - cval < 1e-11 else 0
-        T, val, G = cand, cval, cG
-        if stall >= 5:
-            break
-        step = min(step * 2.0, 10.0)
-    return T, val, evals
+            ok = cval < val - 1e-14
+            stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
+            iters += ok
+            val = np.where(ok, cval, val)
+            T = np.where(ok[:, None, None], cand, T)
+            PG = np.where(ok[:, None, None], _project_stiefel_tangent(cand, cG), PG)
+            step = np.where(ok, np.minimum(step * 2.0, 10.0), step * 0.5)
+            stop = np.where(ok, (stall >= 5) | (iters >= max_iter)
+                            | (np.linalg.norm(PG, axis=(-2, -1)) < gtol), step <= 1e-13)
+    return found
 
 
 def _l1_value_grad(X):
     """Ensemble l1 cost sum_m ((sum_i a_im)^2 - sum_i a_im^2), a = |X|, of
-    the member coefficient columns X, and its (almost-everywhere) gradient
-    wrt conj(X)."""
+    the member coefficient columns X (or of each matrix of a stack), and its
+    (almost-everywhere) gradient wrt conj(X)."""
     a = np.abs(X)
-    s = a.sum(axis=0)
-    grad = (2.0 * s[None, :] - 2.0 * a) * X / np.maximum(a, 1e-300)
-    return float(np.sum(s**2) - np.sum(a**2)), grad
+    s = a.sum(axis=-2)
+    grad = (2.0 * s[..., None, :] - 2.0 * a) * X / np.maximum(a, 1e-300)
+    return (s**2).sum(axis=-1) - (a**2).sum(axis=(-2, -1)), grad
 
 
 def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
@@ -461,7 +481,8 @@ def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
               opts: RoofOptions = RoofOptions()) -> MeasureResult:
     if opts.member_filter is not None:
         return convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
-    return _roof_engine(rho, basis, lambda probs, coeffs, raw: _l1_value_grad(coeffs)[0],
+    return _roof_engine(rho, basis,
+                        lambda probs, coeffs, raw: float(_l1_value_grad(coeffs)[0]),
                         opts, _l1_value_grad, lower=m_l1(rho, basis).value)
 
 

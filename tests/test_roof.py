@@ -16,9 +16,10 @@ from superposition import (
     random_free,
     rho_x,
 )
+from superposition import measures
 from superposition.harness import CAMPAIGN_ROOF_OPTS
-from superposition.measures import ROOF_GAP, ensemble_warm_start
-from superposition.qstate import DensityMatrix, PureState
+from superposition.measures import ROOF_GAP, _l1_value_grad, ensemble_warm_start
+from superposition.qstate import DensityMatrix, PureState, random_isometry, weighted_eigvecs
 
 FAST = RoofOptions(ensemble_size_cap=2, restarts=6)
 # the axiom campaigns' roof settings: cap r, 8 restarts, 1200 evaluations
@@ -35,6 +36,44 @@ def test_roof_closed_form_on_rho_x_family():
             # a start meets the m_l1 bound, so no start is searched
             assert res.value - m_l1(rho, basis).value <= ROOF_GAP
             assert res.iterations <= 6 and res.converged
+
+
+def test_stacked_search_matches_single_start_searches(monkeypatch):
+    # a rank-2 state at d = 3, cap r: 2x2 starts, the 3x2 free-leaning start
+    # and a 4-row extra start, searched together in stacks of one shape each
+    searched = []
+    search = measures._stacked_riemannian_descent
+
+    def recording(value_grad, starts):
+        found = search(value_grad, starts)
+        searched.append((value_grad, starts, found))
+        return found
+
+    monkeypatch.setattr(measures, "_stacked_riemannian_descent", recording)
+    rho, basis = random_density(3, 2, 5), constant_overlap_basis(3, 0.5)
+    opts = RoofOptions(ensemble_size_cap=1, extra_starts=(random_isometry(4, 2, 1),),
+                       **CAMPAIGN_ROOF_OPTS)
+    res = m_l1_roof(rho, basis, opts)
+    (value_grad, starts, found), = searched
+    assert sorted({T0.shape for T0 in starts}) == [(2, 2), (3, 2), (4, 2)]
+    assert len({evals for _, _, evals in found}) > 1
+    for T0, (T, val, evals) in zip(starts, found):
+        (T1, val1, evals1), = search(value_grad, [T0])
+        assert np.array_equal(T, T1) and val == val1 and evals == evals1
+    # the report is the cheapest decomposition searched, without the tie-break
+    Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
+    assert res.value == min(float(_l1_value_grad(Cc @ T.T)[0]) for T, _, _ in found)
+
+
+def test_roof_reports_cheapest_not_penalized_winner():
+    # the search with the lowest penalized cost ends at l1 cost
+    # 2.529277128624133; the identity start's search reaches 2.5292770932
+    rho = random_density(3, 2, 3513416644)
+    basis = constant_overlap_basis(3, 0.5)
+    res = m_l1_roof(rho, basis, CAMPAIGN)
+    assert res.value < 2.5292771
+    avg = sum(p * m_l1_pure(phi, basis) for p, phi in res.certificate.members)
+    assert abs(avg - res.value) < 1e-9
 
 
 def test_roof_certificate_equal_weights():
