@@ -59,7 +59,6 @@ def build_basis(columns: np.ndarray) -> SuperpositionBasis:
     V = np.array(columns, dtype=complex)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise NonUnitColumn(f"expected a square matrix, got shape {V.shape}")
-    d = V.shape[0]
     norms = np.linalg.norm(V, axis=0)
     if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
         worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -68,15 +67,19 @@ def build_basis(columns: np.ndarray) -> SuperpositionBasis:
     det = np.linalg.det(G)
     if det.real <= DET_TOL:
         raise LinearlyDependent(f"Gram determinant {det.real:g} <= {DET_TOL:g}")
+    return _assemble(V, G)
+
+
+def _assemble(V: np.ndarray, G: np.ndarray) -> SuperpositionBasis:
+    """Basis of the independent columns V with Gram matrix G and both dual
+    families."""
     # chat_i are the columns of (V^-1)^dag.  Inverting V keeps the error at
     # cond(V) rounding; V G^-1, equal in exact arithmetic, has cond(V)^2.
     bio = np.linalg.inv(V).conj().T
     pre_norms = np.linalg.norm(bio, axis=0)
-    duals = bio / pre_norms
-    xi = 1.0 / pre_norms
     return SuperpositionBasis(
-        dimension=d, vectors=V, gram=G, duals=duals,
-        xi=xi, biorthogonal_duals=bio,
+        dimension=V.shape[0], vectors=V, gram=G, duals=bio / pre_norms,
+        xi=1.0 / pre_norms, biorthogonal_duals=bio,
     )
 
 
@@ -113,13 +116,7 @@ def constant_overlap_basis(d: int, mu: float) -> SuperpositionBasis:
     # Assemble directly: the range check above already guarantees
     # independence, and near the endpoints the tiny (but exact) Gram
     # determinant would trip the generic build_basis threshold.
-    Gv = V.conj().T @ V
-    bio = np.linalg.inv(V).conj().T
-    pre_norms = np.linalg.norm(bio, axis=0)
-    return SuperpositionBasis(
-        dimension=d, vectors=V, gram=Gv, duals=bio / pre_norms,
-        xi=1.0 / pre_norms, biorthogonal_duals=bio,
-    )
+    return _assemble(V, V.conj().T @ V)
 
 
 def gram_determinant(basis: SuperpositionBasis) -> float:

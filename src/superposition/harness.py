@@ -280,7 +280,7 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     S1 uses the full trial count; S2-S4 cap at 50 trials.
     """
     if measure not in MEASURES:
-        raise UnknownMeasure(measure)
+        raise UnknownMeasure(f"unknown measure {measure!r}")
     cfg = MEASURES[measure]
     family = channel_family or cfg.channel_family
     if family not in ("standard", "real_dual"):

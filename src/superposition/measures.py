@@ -81,7 +81,8 @@ class RoofOptions:
     members and each of extra_starts as many as it has rows, so a search
     from one of them can return a larger ensemble than the cap.  restarts
     is the most starts searched (fewer once one meets the roof's lower
-    bound); max_evals bounds one derivative-free search.
+    bound); max_evals bounds one derivative-free search, run only by
+    convex_roof, m_rel_ent_roof and roofs with a member_filter.
     member_filter restricts the admissible pure members (roofs over a
     restricted closed set); decompositions containing a rejected member are
     discarded.
@@ -278,10 +279,10 @@ def _givens_descent(fun, T0, budget):
     return chart(x), val, evals, conv
 
 
-def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
-                 opts: RoofOptions, value_grad=None,
+def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
+                 opts: RoofOptions, cost=None, value_grad=None,
                  lower: float = 0.0) -> MeasureResult:
-    """Minimize cost(probs, coeffs, raw) over ensembles of bounded size.
+    """Minimize an ensemble cost over ensembles of bounded size.
 
     Ensembles are isometries T applied to the eigen-decomposition: member m
     has raw vector (B @ T.T)[:, m] and oblique coefficients (Cc @ T.T)[:, m].
@@ -290,9 +291,10 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     roof.  If the cost of some start is within ROOF_GAP of it, the cheapest
     such start is returned unsearched.  Otherwise the starts are searched
     locally on the cost plus the balance tie-break: all at once, one stack
-    per start shape, by Riemannian descent when value_grad(coeffs) supplies
-    the cost and its gradient wrt conj(coeffs) (for each of a stack of
-    coeffs); one after another by Givens coordinate descent otherwise.
+    per start shape, by Riemannian descent when value_grad(coeffs) gives
+    the cost and its gradient wrt conj(coeffs) for each of a stack of coeffs
+    (a zero gradient leaves only the tie-break to descend); otherwise one
+    after another by Givens coordinate descent on cost(probs, coeffs, raw).
     Taking the starts in list order, each start and then its search's end
     point, the decomposition of lowest cost wins (exact ties to the
     earlier); this stops, and no further Givens search runs, once the
@@ -304,6 +306,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
     Cc = basis.biorthogonal_duals.conj().T @ B  # coeffs = Cc @ T.T
     r = B.shape[1]
     n = max(opts.ensemble_size_cap or r * r, r)
+    cost = cost or (lambda probs, coeffs, raw: float(value_grad(coeffs)[0]))
 
     def members(T):
         raw = B @ T.swapaxes(-1, -2)
@@ -368,8 +371,6 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, cost,
 
 
 def _generic_cost(pure_measure, member_filter):
-    big = 1e6
-
     def cost(probs, coeffs, raw):
         total = 0.0
         for m in range(probs.size):
@@ -378,7 +379,7 @@ def _generic_cost(pure_measure, member_filter):
                 continue
             phi = PureState(raw[:, m] / math.sqrt(p))
             if member_filter is not None and not member_filter(phi):
-                return big
+                return 1e6  # rejected member: far above any measure value
             total += p * pure_measure(phi)
         return total
 
@@ -452,6 +453,16 @@ def _l1_value_grad(X):
     return (s**2).sum(axis=-1) - (a**2).sum(axis=(-2, -1)), grad
 
 
+def _rank_value_grad(X, V, tol):
+    """Ensemble rank cost sum_m p_m log2 #{i : |X_im| > tol sqrt(p_m)} over the
+    members m with p_m = |V @ X[:, m]|^2 >= MEMBER_TOL, for X or each matrix of
+    a stack, and its gradient: zero, as the cost is piecewise constant."""
+    p = (np.abs(V @ X) ** 2).sum(axis=-2)
+    counts = (np.abs(X) > tol * np.sqrt(p)[..., None, :]).sum(axis=-2)
+    terms = np.where(p < MEMBER_TOL, 0.0, p * np.log2(np.maximum(counts, 1)))
+    return terms.sum(axis=-1), np.zeros_like(X)
+
+
 def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
     """Isometry seeding the roof search from a known decomposition of rho.
 
@@ -474,16 +485,15 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     pure_measure must be nonnegative, as every superposition measure is:
     the search stops at a decomposition of cost within ROOF_GAP of 0.
     """
-    return _roof_engine(rho, basis, _generic_cost(pure_measure, opts.member_filter), opts)
+    return _roof_engine(rho, basis, opts, cost=_generic_cost(pure_measure, opts.member_filter))
 
 
 def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
               opts: RoofOptions = RoofOptions()) -> MeasureResult:
     if opts.member_filter is not None:
         return convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
-    return _roof_engine(rho, basis,
-                        lambda probs, coeffs, raw: float(_l1_value_grad(coeffs)[0]),
-                        opts, _l1_value_grad, lower=m_l1(rho, basis).value)
+    return _roof_engine(rho, basis, opts, value_grad=_l1_value_grad,
+                        lower=m_l1(rho, basis).value)
 
 
 def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,
@@ -491,18 +501,8 @@ def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,
     if opts.member_filter is not None:
         return convex_roof(
             rho, basis, lambda phi: m_rank_pure(phi, basis, tol).value, opts)
-
-    def cost(probs, coeffs, raw):
-        total = 0.0
-        for m in range(probs.size):
-            p = float(probs[m])
-            if p < MEMBER_TOL:
-                continue
-            counts = int(np.count_nonzero(np.abs(coeffs[:, m]) / math.sqrt(p) > tol))
-            total += p * math.log2(max(counts, 1))
-        return total
-
-    return _roof_engine(rho, basis, cost, opts)
+    return _roof_engine(rho, basis, opts,
+                        value_grad=lambda X: _rank_value_grad(X, basis.vectors, tol))
 
 
 def m_rel_ent_roof(rho: DensityMatrix, basis: SuperpositionBasis,

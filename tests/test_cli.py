@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from superposition import rho_x
+from superposition import random_density, rho_x
 from superposition.cli import main
 
 
@@ -58,6 +58,19 @@ def test_measure_deterministic(files, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_measure_rank_converges_with_cli_defaults(tmp_path, capsys):
+    # cap r^2 and 16 restarts at d = 4: the rank roof is searched on the
+    # balance tie-break alone and ends converged at the 2-bit value
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(random_density(4, 4, 501).to_json()))
+    assert main(["measure", "--state", str(state), "--constant", "4", "0.5",
+                 "--measure", "rank"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True
+    assert abs(payload["value"] - 2.0) <= 1e-12
+    assert payload["iterations"] <= 2000
+
+
 def test_measure_missing_file(capsys):
     assert main(["measure", "--state", "/nonexistent.json",
                  "--constant", "2", "0.5", "--measure", "l1"]) == 2
@@ -82,3 +95,4 @@ def test_axioms_pass_and_fail(capsys):
                  "--trials", "5"]) == 3
     capsys.readouterr()
     assert main(["axioms", "--measure", "nope"]) == 2
+    assert "unknown measure 'nope'" in capsys.readouterr().err

@@ -28,6 +28,14 @@ def test_delta_campaign_small():
     assert all(r.passed for r in reports)
 
 
+def test_rank_campaigns_pass():
+    for d in (2, 3):
+        reports = run_axiom_campaign("rank", constant_overlap_basis(d, 0.5),
+                                     trials=20, seed=1)
+        assert [r.axiom for r in reports] == ["S1", "S2", "S3", "S4"]
+        assert all(r.passed for r in reports)
+
+
 def test_negative_control_fails_s1():
     reports = run_axiom_campaign("broken_l1", BASIS2, trials=20, seed=0)
     s1 = reports[0]

@@ -9,6 +9,7 @@ from superposition import (
     m_l1_pure,
     m_l1_roof,
     m_rank,
+    m_rank_pure,
     m_rel_ent,
     m_rel_ent_roof,
     m_weight,
@@ -130,8 +131,9 @@ def test_roof_pure_state_is_plain_value():
 def test_rank_roof():
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(restarts=4, max_evals=800)
-    # the search never finds the measure-zero decompositions with a
-    # basis-aligned member, so the reported value is 1 bit
+    # the rank cost's gradient is zero, so the search only descends the
+    # balance tie-break and never finds the measure-zero decompositions
+    # with a basis-aligned member: the reported value is 1 bit
     assert abs(m_rank(rho, basis, opts).value - 1.0) < 1e-9
     assert m_rank(random_free(basis, 0), basis, opts).value == 0.0
     # the free-leaning start is searched even with a single restart
@@ -142,6 +144,17 @@ def test_rank_roof():
             res = m_rank(random_free(basis, seed), basis, CAMPAIGN)
             assert res.value == 0.0
             assert res.iterations <= 8 and res.converged
+
+
+def test_rank_roof_certificate_reproduces_value():
+    # the stacked member count follows m_rank_pure's tolerance rule
+    basis = constant_overlap_basis(3, 0.5)
+    for rank, seed in ((3, 11), (2, 12)):
+        rho = random_density(3, rank, seed)
+        res = m_rank(rho, basis, CAMPAIGN)
+        assert np.max(np.abs(res.certificate.density() - rho.matrix)) < 1e-9
+        avg = sum(p * m_rank_pure(phi, basis).value for p, phi in res.certificate.members)
+        assert abs(avg - res.value) < 1e-12
 
 
 def test_rel_ent_roof_dominates_rel_ent():
@@ -187,9 +200,10 @@ def test_ensemble_warm_start_is_isometry():
 
 def test_rank_roof_matches_weight_on_qubit():
     # at d=2 the best rank ensemble puts maximal weight on basis-aligned
-    # members, so the value coincides with the weight measure; the search
-    # cannot reach those measure-zero points, giving 1 instead -- document
-    # the upper-bound relation only
+    # members, so the value coincides with the weight measure; the search,
+    # which only descends the balance tie-break of a cost with zero
+    # gradient, cannot reach those measure-zero points and gives 1 instead
+    # -- document the upper-bound relation only
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(restarts=4, max_evals=800)
     assert m_rank(rho, basis, opts).value >= m_weight(rho, basis).value - 1e-6
