@@ -27,6 +27,7 @@ from .qstate import (
     clip_to_psd,
     pure_coefficients,
     random_isometry,
+    require_isometry_shape,
     rho_x,
     rho_x_eigenvalues,
     weighted_eigvecs,
@@ -35,7 +36,8 @@ from .solvers import max_weight_diagonal, min_dominating_diagonal, mirror_descen
 
 LN2 = math.log(2.0)
 SUPPORT_TOL = 1e-10
-# Givens coordinate descent: first and smallest angle step.
+# Pattern search (derivative-free roofs, max_measure_value): first and
+# smallest step along an ambient coordinate.
 STEP0 = 0.7
 STEP_MIN = 1e-4
 # Tiny deterministic tie-break added to roof costs during the search: it
@@ -82,7 +84,7 @@ class RoofOptions:
     from one of them can return a larger ensemble than the cap.  restarts
     is the most starts searched (fewer once one meets the roof's lower
     bound); max_evals bounds one derivative-free search, run only by
-    convex_roof, m_rel_ent_roof and roofs with a member_filter.
+    convex_roof with a caller's pure measure and roofs with a member_filter.
     member_filter restricts the admissible pure members (roofs over a
     restricted closed set); decompositions containing a rejected member are
     discarded.
@@ -210,26 +212,6 @@ def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
 # convex roof
 
 
-def _stiefel(params: np.ndarray, n: int, r: int) -> np.ndarray:
-    """Isometry from Givens angles/phases plus column phases."""
-    T = np.eye(n, r, dtype=complex)
-    idx = 0
-    for j in range(r):
-        for i in range(j + 1, n):
-            th = params[idx]
-            ph = params[idx + 1]
-            idx += 2
-            c = math.cos(th)
-            s = math.sin(th) * np.exp(1j * ph)
-            rj = T[j, :].copy()
-            ri = T[i, :].copy()
-            T[j, :] = c * rj + s * ri
-            T[i, :] = -np.conj(s) * rj + c * ri
-    for j in range(r):
-        T[:, j] *= np.exp(1j * params[idx + j])
-    return T
-
-
 def _coordinate_descent(fun, x0, budget, step0):
     x = np.array(x0, dtype=float)
     best = fun(x)
@@ -262,20 +244,15 @@ def _coordinate_descent(fun, x0, budget, step0):
     return x, best, evals, step <= STEP_MIN
 
 
-def _givens_descent(fun, T0, budget):
-    """Coordinate descent in the Givens chart centred on the isometry T0:
-    T = W0 @ _stiefel(params) with W0 unitary and T0 its first columns, so
-    that params = 0 is T0 itself."""
-    m, r = T0.shape
-    W0, _ = np.linalg.qr(np.hstack([T0, np.eye(m)]))
-    W0[:, :r] = T0
+def _pattern_search(fun, T0, budget):
+    """Coordinate descent from the isometry T0 over the real and imaginary
+    parts of an ambient step X, each trial point retracted:
+    T = _retract(T0 + X), so that X = 0 is T0 itself."""
+    def chart(x):
+        return _retract(T0 + x.view(complex).reshape(T0.shape))
 
-    def chart(params):
-        return W0 @ _stiefel(params, m, r)
-
-    pairs = m * r - r * (r + 1) // 2  # (angle, phase) per Givens rotation
     x, val, evals, conv = _coordinate_descent(
-        lambda params: fun(chart(params)), np.zeros(2 * pairs + r), budget, STEP0)
+        lambda x: fun(chart(x)), np.zeros(2 * T0.size), budget, STEP0)
     return chart(x), val, evals, conv
 
 
@@ -294,11 +271,12 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     per start shape, by Riemannian descent when value_grad(coeffs) gives
     the cost and its gradient wrt conj(coeffs) for each of a stack of coeffs
     (a zero gradient leaves only the tie-break to descend); otherwise one
-    after another by Givens coordinate descent on cost(probs, coeffs, raw).
-    Taking the starts in list order, each start and then its search's end
-    point, the decomposition of lowest cost wins (exact ties to the
-    earlier); this stops, and no further Givens search runs, once the
-    winner is within ROOF_GAP of lower.
+    after another by a retracted pattern search on cost(probs, coeffs, raw),
+    at most opts.max_evals evaluations each.  Both move the isometry T
+    itself, with polar retraction.  Taking the starts in list order, each
+    start and then its search's end point, the decomposition of lowest cost
+    wins (exact ties to the earlier); this stops, and no further pattern
+    search runs, once the winner is within ROOF_GAP of lower.
     A result within ROOF_GAP of lower is converged, and iterations counts
     every cost evaluation, the start checks and every search included.
     """
@@ -328,9 +306,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     if q.sum() > 1e-12:
         starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
     for extra in opts.extra_starts:
-        extra = np.asarray(extra, dtype=complex)
-        if extra.ndim == 2 and extra.shape[1] == r and extra.shape[0] >= r:
-            starts.append(_retract(extra))
+        starts.append(_retract(require_isometry_shape(extra, r)))
     while len(starts) < max(opts.restarts, 1):
         starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
 
@@ -357,7 +333,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
         total += sum(evals for _, _, evals in found)
         searches = ((T, val, 0, True) for T, val, _ in found)
     else:
-        searches = (_givens_descent(penalized, T0, opts.max_evals) for T0 in starts)
+        searches = (_pattern_search(penalized, T0, opts.max_evals) for T0 in starts)
     best_cost, best_T, best_conv = math.inf, None, False
     for T0, start_cost, (T, _, evals, conv) in zip(starts, start_costs, searches):
         total += evals + 1
@@ -463,6 +439,27 @@ def _rank_value_grad(X, V, tol):
     return terms.sum(axis=-1), np.zeros_like(X)
 
 
+def _rel_ent_value_grad(X, basis):
+    """Ensemble relative-entropy cost sum_m p_m m_rel_ent(phi_m) over the
+    members m of X (or of each matrix of a stack) with raw vector
+    v_m = V @ X[:, m] and p_m = |v_m|^2 >= MEMBER_TOL, and its gradient wrt
+    conj(X).  A member's term min_q -v^dag log(sigma_q) v / ln 2 is
+    quadratic in v at fixed q, so by the envelope theorem its gradient is
+    -V^dag log(sigma_q*) v / ln 2 at the inner optimum q*."""
+    V = basis.vectors
+    raw = V @ X
+    p = (np.abs(raw) ** 2).sum(axis=-2)
+    val, grad = np.zeros(p.shape), np.zeros(X.shape, dtype=complex)
+    for *k, m in zip(*np.nonzero(p >= MEMBER_TOL)):
+        v = raw[(*k, slice(None), m)]
+        res = m_rel_ent(PureState(v / math.sqrt(p[(*k, m)])).density(), basis, max_iter=400)
+        s, U = np.linalg.eigh((V * res.certificate) @ V.conj().T)
+        log_sigma = (U * np.log(np.clip(s, 1e-300, None))) @ U.conj().T
+        val[(*k, m)] = p[(*k, m)] * res.value
+        grad[(*k, slice(None), m)] = -(V.conj().T @ (log_sigma @ v)) / LN2
+    return val.sum(axis=-1), grad
+
+
 def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
     """Isometry seeding the roof search from a known decomposition of rho.
 
@@ -483,7 +480,9 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     pure-state measure; the result is an upper bound on the true roof.
 
     pure_measure must be nonnegative, as every superposition measure is:
-    the search stops at a decomposition of cost within ROOF_GAP of 0.
+    the search stops at a decomposition of cost within ROOF_GAP of 0.  It
+    needs no gradient: each start is searched by the derivative-free
+    retracted pattern search, at most opts.max_evals evaluations.
     """
     return _roof_engine(rho, basis, opts, cost=_generic_cost(pure_measure, opts.member_filter))
 
@@ -507,10 +506,10 @@ def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,
 
 def m_rel_ent_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                    opts: RoofOptions = RoofOptions()) -> MeasureResult:
-    def pure_measure(phi):
-        return m_rel_ent(phi.density(), basis, max_iter=400).value
-
-    return convex_roof(rho, basis, pure_measure, opts)
+    if opts.member_filter is not None:
+        return convex_roof(
+            rho, basis, lambda phi: m_rel_ent(phi.density(), basis, max_iter=400).value, opts)
+    return _roof_engine(rho, basis, opts, value_grad=lambda X: _rel_ent_value_grad(X, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -624,22 +623,14 @@ def max_measure_value(basis: SuperpositionBasis,
                       pure_measure: Callable[[PureState], float],
                       restarts: int = 16, seed: int = 0,
                       max_evals: int = 4000) -> float:
-    """Best-effort maximum of a pure-state measure over the unit sphere."""
+    """Best-effort maximum of a pure-state measure over the unit sphere, by
+    the retracted pattern search over d x 1 isometries from seeded starts."""
     d = basis.dimension
     if d == 1:
         return 0.0
-
-    def fun(params):
-        v = params[:d] + 1j * params[d:]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            return 0.0
-        return -pure_measure(PureState(v / nrm))
-
-    rng = np.random.default_rng(seed)
     best = 0.0
     for restart in range(restarts):
-        x0 = rng.standard_normal(2 * d)
-        _, val, _, _ = _coordinate_descent(fun, x0, max_evals, 0.5)
+        _, val, _, _ = _pattern_search(lambda T: -pure_measure(PureState(T[:, 0])),
+                                       random_isometry(d, 1, seed * 7919 + restart), max_evals)
         best = max(best, -val)
     return best

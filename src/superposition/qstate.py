@@ -178,11 +178,9 @@ def ensemble_from_isometry(rho: DensityMatrix, T: np.ndarray) -> Ensemble:
     """All decompositions of rho arise this way: members are
     sqrt(p_m)|phi_m> = sum_k T_mk sqrt(lambda_k) |e_k> for an isometry T
     applied to the eigen-decomposition."""
-    T = np.asarray(T, dtype=complex)
     B = weighted_eigvecs(rho)
     r = B.shape[1]
-    if T.ndim != 2 or T.shape[1] != r or T.shape[0] < r:
-        raise NotIsometry(f"expected an n x {r} matrix with n >= {r}, got {T.shape}")
+    T = require_isometry_shape(T, r)
     if np.max(np.abs(T.conj().T @ T - np.eye(r))) > 1e-9:
         raise NotIsometry("T^dag T != I")
     raw = B @ T.T  # column m = unnormalized member m
@@ -193,6 +191,14 @@ def ensemble_from_isometry(rho: DensityMatrix, T: np.ndarray) -> Ensemble:
             continue
         members.append((float(probs[m]), PureState(raw[:, m] / np.sqrt(probs[m]))))
     return Ensemble(members=tuple(members))
+
+
+def require_isometry_shape(T, r: int) -> np.ndarray:
+    """T as a complex array, checked to be n x r with n >= r."""
+    T = np.asarray(T, dtype=complex)
+    if T.ndim != 2 or T.shape[1] != r or T.shape[0] < r:
+        raise NotIsometry(f"expected an n x {r} matrix with n >= {r}, got {T.shape}")
+    return T
 
 
 def weighted_eigvecs(rho: DensityMatrix) -> np.ndarray:

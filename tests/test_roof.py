@@ -19,7 +19,13 @@ from superposition import (
 )
 from superposition import measures
 from superposition.harness import CAMPAIGN_ROOF_OPTS
-from superposition.measures import ROOF_GAP, _l1_value_grad, ensemble_warm_start
+from superposition.errors import NotIsometry
+from superposition.measures import (
+    ROOF_GAP,
+    _l1_value_grad,
+    _rel_ent_value_grad,
+    ensemble_warm_start,
+)
 from superposition.qstate import DensityMatrix, PureState, random_isometry, weighted_eigvecs
 
 FAST = RoofOptions(ensemble_size_cap=2, restarts=6)
@@ -164,6 +170,43 @@ def test_rel_ent_roof_dominates_rel_ent():
     assert roof >= m_rel_ent(rho, basis).value - 1e-6
 
 
+def test_rel_ent_value_grad_is_envelope_gradient():
+    # two d = 2 coefficient matrices as one stack, and one d = 3 matrix
+    rng = np.random.default_rng(4)
+    for d, shape in ((2, (2, 2, 2)), (3, (3, 3))):
+        basis = constant_overlap_basis(d, 0.5)
+        X = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        val, G = _rel_ent_value_grad(X, basis)
+        for k, Xk in enumerate(X.reshape(-1, d, d)):
+            raw = basis.vectors @ Xk
+            p = np.sum(np.abs(raw) ** 2, axis=0)
+            want = sum(p[m] * m_rel_ent(PureState(raw[:, m] / np.sqrt(p[m])).density(),
+                                        basis, max_iter=400).value for m in range(d))
+            assert abs(np.ravel(val)[k] - want) < 1e-12
+        # d f / d Re X = 2 Re G and d f / d Im X = 2 Im G for G = d f / d conj(X)
+        h = 1e-6
+        for idx in np.ndindex(X.shape):
+            for unit, part in ((1.0, G[idx].real), (1j, G[idx].imag)):
+                step = np.zeros(X.shape, dtype=complex)
+                step[idx] = h * unit
+                fd = (_rel_ent_value_grad(X + step, basis)[0]
+                      - _rel_ent_value_grad(X - step, basis)[0]) / (2 * h)
+                assert abs(np.sum(fd) - 2 * part) <= 1e-4 * max(abs(2 * part), 1.0)
+
+
+def test_rel_ent_roof_certificate_reproduces_value():
+    # the stacked gradient search needs 613 evaluations; the derivative-free
+    # search it replaced took 1821
+    basis = constant_overlap_basis(2, 0.5)
+    rho = random_density(2, 2, 1)
+    res = m_rel_ent_roof(rho, basis, CAMPAIGN)
+    assert res.iterations <= 1000
+    assert np.max(np.abs(res.certificate.density() - rho.matrix)) < 1e-9
+    avg = sum(p * m_rel_ent(phi.density(), basis, max_iter=400).value
+              for p, phi in res.certificate.members)
+    assert abs(avg - res.value) < 1e-9
+
+
 def test_generic_convex_roof_agrees_with_l1_fast_path():
     rho, basis = rho_x(0.25, 0.5)
     res = convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis),
@@ -177,8 +220,8 @@ def test_member_filter_restricts_decompositions():
     # rejection cost, signalling an empty feasible set
     opts = RoofOptions(ensemble_size_cap=2, restarts=2, max_evals=300,
                        member_filter=lambda phi: False)
-    res = m_l1_roof(rho, basis, opts)
-    assert res.value > 1e3
+    assert m_l1_roof(rho, basis, opts).value > 1e3
+    assert m_rel_ent_roof(rho, basis, opts).value > 1e3
 
 
 def test_ensemble_warm_start_is_isometry():
@@ -196,6 +239,13 @@ def test_ensemble_warm_start_is_isometry():
                           RoofOptions(ensemble_size_cap=2, restarts=1,
                                       extra_starts=(T,)))
     assert abs(generic.value - res.value) < 1e-8
+
+
+def test_malformed_extra_start_is_rejected():
+    # rank 2: a 3 x 1 start cannot be an isometry of the eigen-decomposition
+    rho, basis = random_density(3, 2, 5), constant_overlap_basis(3, 0.5)
+    with pytest.raises(NotIsometry):
+        m_l1_roof(rho, basis, RoofOptions(extra_starts=(np.eye(3, 1),)))
 
 
 def test_rank_roof_matches_weight_on_qubit():
