@@ -78,7 +78,7 @@ def completeness_defect(operators) -> float:
 
 
 def make_channel(operators, check: bool = True) -> KrausChannel:
-    ops = tuple(np.asarray(K, dtype=complex) for K in operators)
+    ops = tuple(np.array(K, dtype=complex) for K in operators)
     for K in ops:
         K.setflags(write=False)
     defect = completeness_defect(ops)

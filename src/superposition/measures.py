@@ -26,6 +26,7 @@ from .qstate import (
     free_state,
     clip_to_psd,
     pure_coefficients,
+    random_density,
     random_isometry,
     require_isometry_shape,
     rho_x,
@@ -40,10 +41,6 @@ SUPPORT_TOL = 1e-10
 # smallest step along an ambient coordinate.
 STEP0 = 0.7
 STEP_MIN = 1e-4
-# Tiny deterministic tie-break added to roof costs during the search: it
-# prefers balanced weights among equal-cost decompositions.  Reported roof
-# values never include it.
-BALANCE_PENALTY = 1e-6
 # A roof search stops once the reported cost of a decomposition is within
 # this distance of the certified lower bound it was given.
 ROOF_GAP = 1e-9
@@ -262,33 +259,28 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     """Minimize an ensemble cost over ensembles of bounded size.
 
     Ensembles are isometries T applied to the eigen-decomposition: member m
-    has raw vector (B @ T.T)[:, m] and oblique coefficients (Cc @ T.T)[:, m].
-    The starts form one list (identity, free-leaning, opts.extra_starts, then
-    seeded random isometries).  lower is a certified lower bound on the
-    roof.  If the cost of some start is within ROOF_GAP of it, the cheapest
-    such start is returned unsearched.  Otherwise the starts are searched
-    locally on the cost plus the balance tie-break: all at once, one stack
-    per start shape, by Riemannian descent when value_grad(coeffs) gives
-    the cost and its gradient wrt conj(coeffs) for each of a stack of coeffs
-    (a zero gradient leaves only the tie-break to descend); otherwise one
-    after another by a retracted pattern search on cost(probs, coeffs, raw),
-    at most opts.max_evals evaluations each.  Both move the isometry T
-    itself, with polar retraction.  Taking the starts in list order, each
-    start and then its search's end point, the decomposition of lowest cost
-    wins (exact ties to the earlier); this stops, and no further pattern
-    search runs, once the winner is within ROOF_GAP of lower.
+    has oblique coefficients X[:, m] of X = Cc @ T.T and raw vector
+    V @ X[:, m].  The starts form one list (identity, free-leaning,
+    opts.extra_starts, then seeded random isometries).  lower is a certified
+    lower bound on the roof.  If the cost of some start is within ROOF_GAP
+    of it, the cheapest such start is returned unsearched.  Otherwise the
+    starts are searched locally on the cost: all at once, one stack per
+    start shape, by Riemannian descent when value_grad(X) gives the cost and
+    its gradient wrt conj(X) for each of a stack of X (a zero gradient
+    stops every search at its start); otherwise one after another by a
+    retracted pattern search on cost(X), at most opts.max_evals evaluations
+    each.  Both move the isometry T itself, with polar retraction, and
+    accept only decreases, so the lowest search value wins (exact ties to
+    the earlier start); this stops, and no further pattern search runs,
+    once the winner is within ROOF_GAP of lower.
     A result within ROOF_GAP of lower is converged, and iterations counts
     every cost evaluation, the start checks and every search included.
     """
-    B = weighted_eigvecs(rho)                   # d x r, raw = B @ T.T
-    Cc = basis.biorthogonal_duals.conj().T @ B  # coeffs = Cc @ T.T
+    B = weighted_eigvecs(rho)                   # d x r
+    Cc = basis.biorthogonal_duals.conj().T @ B  # X = Cc @ T.T
     r = B.shape[1]
     n = max(opts.ensemble_size_cap or r * r, r)
-    cost = cost or (lambda probs, coeffs, raw: float(value_grad(coeffs)[0]))
-
-    def members(T):
-        raw = B @ T.swapaxes(-1, -2)
-        return (np.abs(raw) ** 2).sum(axis=-2), Cc @ T.swapaxes(-1, -2), raw
+    cost = cost or (lambda X: float(value_grad(X)[0]))
 
     def result(T, value, total, conv):
         return MeasureResult(value=max(value, 0.0),
@@ -297,7 +289,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
 
     if r == 1:
         T = np.eye(1, 1, dtype=complex)
-        return result(T, cost(*members(T)), 1, True)
+        return result(T, cost(Cc @ T.T), 1, True)
 
     starts = [np.eye(n, r, dtype=complex)]
     # free-leaning start: members aimed at the basis directions weighted by
@@ -310,47 +302,40 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     while len(starts) < max(opts.restarts, 1):
         starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
 
-    def penalized(T):
-        probs, coeffs, raw = members(T)
-        return cost(probs, coeffs, raw) + BALANCE_PENALTY * float(np.sum(probs**2))
-
-    def penalized_grad(T):
-        probs, coeffs, raw = members(T)
-        val, G = value_grad(coeffs)
-        grad = G.swapaxes(-1, -2) @ Cc.conj()
-        balance = (2.0 * BALANCE_PENALTY) * (raw * probs[..., None, :])
-        grad += balance.swapaxes(-1, -2) @ B.conj()
-        return val + BALANCE_PENALTY * (probs**2).sum(axis=-1), grad
-
-    start_costs = [cost(*members(T0)) for T0 in starts]
+    start_costs = [cost(Cc @ T0.T) for T0 in starts]
     total = len(starts)
     cheapest = min(range(len(starts)), key=start_costs.__getitem__)
     if start_costs[cheapest] - lower <= ROOF_GAP:
         return result(starts[cheapest], start_costs[cheapest], total, True)
 
     if value_grad is not None:
-        found = _stacked_riemannian_descent(penalized_grad, starts)
+        def cost_grad(T):
+            val, G = value_grad(Cc @ T.swapaxes(-1, -2))
+            return val, G.swapaxes(-1, -2) @ Cc.conj()
+
+        found = _stacked_riemannian_descent(cost_grad, starts)
         total += sum(evals for _, _, evals in found)
         searches = ((T, val, 0, True) for T, val, _ in found)
     else:
-        searches = (_pattern_search(penalized, T0, opts.max_evals) for T0 in starts)
+        searches = (_pattern_search(lambda T: cost(Cc @ T.T), T0, opts.max_evals)
+                    for T0 in starts)
     best_cost, best_T, best_conv = math.inf, None, False
-    for T0, start_cost, (T, _, evals, conv) in zip(starts, start_costs, searches):
-        total += evals + 1
-        for c, X in ((start_cost, T0), (cost(*members(T)), T)):
-            if c < best_cost:
-                best_cost, best_T, best_conv = c, X, conv
+    for T, val, evals, conv in searches:
+        total += evals
+        if val < best_cost:
+            best_cost, best_T, best_conv = val, T, conv
         if best_cost - lower <= ROOF_GAP:
             best_conv = True
             break
     return result(best_T, best_cost, total, best_conv)
 
 
-def _generic_cost(pure_measure, member_filter):
-    def cost(probs, coeffs, raw):
+def _generic_cost(pure_measure, member_filter, V):
+    def cost(X):
+        raw = V @ X
         total = 0.0
-        for m in range(probs.size):
-            p = float(probs[m])
+        for m in range(raw.shape[1]):
+            p = float(np.sum(np.abs(raw[:, m]) ** 2))
             if p < MEMBER_TOL:
                 continue
             phi = PureState(raw[:, m] / math.sqrt(p))
@@ -477,14 +462,16 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                 pure_measure: Callable[[PureState], float],
                 opts: RoofOptions = RoofOptions()) -> MeasureResult:
     """Approximate min over decompositions of the ensemble average of a
-    pure-state measure; the result is an upper bound on the true roof.
+    pure-state measure, searched on that average itself; the result is the
+    cost of the returned decomposition, an upper bound on the true roof.
 
     pure_measure must be nonnegative, as every superposition measure is:
     the search stops at a decomposition of cost within ROOF_GAP of 0.  It
     needs no gradient: each start is searched by the derivative-free
     retracted pattern search, at most opts.max_evals evaluations.
     """
-    return _roof_engine(rho, basis, opts, cost=_generic_cost(pure_measure, opts.member_filter))
+    return _roof_engine(rho, basis, opts,
+                        cost=_generic_cost(pure_measure, opts.member_filter, basis.vectors))
 
 
 def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
@@ -604,7 +591,6 @@ def real_dual_kraus(basis: SuperpositionBasis, coefficient_matrices) -> KrausCha
     ops = [W @ (c @ N) @ W.T for c in cs]
     chan = make_channel(ops)
     # commutation sanity check on a couple of seeded states
-    from .qstate import random_density  # local to avoid cycle at import time
     for seed in (11, 12):
         probe = random_density(basis.dimension, basis.dimension, seed).matrix
         for K in chan.operators:

@@ -24,7 +24,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidCoefficients(f"not a square matrix: {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
@@ -49,7 +49,7 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex)
+        v = np.array(self.vector, dtype=complex)
         if v.ndim != 1:
             raise InvalidCoefficients(f"not a vector: shape {v.shape}")
         if abs(np.linalg.norm(v) - 1.0) > HERM_TOL:
@@ -76,7 +76,7 @@ class CoefficientMatrix:
     basis: SuperpositionBasis
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
+        object.__setattr__(self, "entries", np.array(self.entries, dtype=complex))
         self.entries.setflags(write=False)
 
 

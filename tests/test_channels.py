@@ -35,6 +35,14 @@ def test_make_channel_checks_completeness():
     assert chan.completeness_defect < 1e-12
 
 
+def test_make_channel_copies_the_callers_operators():
+    ops = [np.eye(2, dtype=complex) / np.sqrt(2), np.eye(2, dtype=complex) / np.sqrt(2)]
+    chan = make_channel(ops)
+    for caller, kept in zip(ops, chan.operators):
+        assert caller.flags.writeable
+        assert not kept.flags.writeable
+        assert not np.shares_memory(caller, kept)
+
 def test_example1_channel_structure():
     basis = constant_overlap_basis(2, 0.5)
     chan = example1_channel(basis)

@@ -59,8 +59,9 @@ def test_measure_deterministic(files, capsys):
 
 
 def test_measure_rank_converges_with_cli_defaults(tmp_path, capsys):
-    # cap r^2 and 16 restarts at d = 4: the rank roof is searched on the
-    # balance tie-break alone and ends converged at the 2-bit value
+    # cap r^2 and 16 restarts at d = 4: the rank cost has a zero gradient,
+    # so every search stops at its start, and the roof ends converged at the
+    # 2-bit value
     state = tmp_path / "state.json"
     state.write_text(json.dumps(random_density(4, 4, 501).to_json()))
     assert main(["measure", "--state", str(state), "--constant", "4", "0.5",

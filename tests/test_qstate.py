@@ -38,6 +38,18 @@ def test_density_matrix_validation():
         PureState(np.array([1.0, 1.0]))
 
 
+def test_constructors_copy_the_callers_array():
+    basis = constant_overlap_basis(2, 0.5)
+    rho_in = np.eye(2, dtype=complex) / 2
+    vec_in = np.array([1.0, 0.0], dtype=complex)
+    entries_in = np.eye(2, dtype=complex) / 2
+    stored = (DensityMatrix(rho_in).matrix, PureState(vec_in).vector,
+              CoefficientMatrix(entries_in, basis).entries)
+    for caller, kept in zip((rho_in, vec_in, entries_in), stored):
+        assert caller.flags.writeable
+        assert not kept.flags.writeable
+        assert not np.shares_memory(caller, kept)
+
 def test_coefficients_round_trip():
     basis = constant_overlap_basis(3, 0.3)
     rho = random_density(3, 3, 11)

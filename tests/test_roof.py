@@ -67,14 +67,14 @@ def test_stacked_search_matches_single_start_searches(monkeypatch):
     for T0, (T, val, evals) in zip(starts, found):
         (T1, val1, evals1), = search(value_grad, [T0])
         assert np.array_equal(T, T1) and val == val1 and evals == evals1
-    # the report is the cheapest decomposition searched, without the tie-break
+    # the report is the lowest search value, the cost of its end point
     Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
     assert res.value == min(float(_l1_value_grad(Cc @ T.T)[0]) for T, _, _ in found)
 
 
 def test_roof_reports_cheapest_not_penalized_winner():
-    # the search with the lowest penalized cost ends at l1 cost
-    # 2.529277128624133; the identity start's search reaches 2.5292770932
+    # the identity start's search reaches 2.5292770932, the lowest of the
+    # eight search values, and the report is its end point
     rho = random_density(3, 2, 3513416644)
     basis = constant_overlap_basis(3, 0.5)
     res = m_l1_roof(rho, basis, CAMPAIGN)
@@ -137,9 +137,9 @@ def test_roof_pure_state_is_plain_value():
 def test_rank_roof():
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(restarts=4, max_evals=800)
-    # the rank cost's gradient is zero, so the search only descends the
-    # balance tie-break and never finds the measure-zero decompositions
-    # with a basis-aligned member: the reported value is 1 bit
+    # the rank cost's gradient is zero, so every search stops at its start
+    # and never finds the measure-zero decompositions with a basis-aligned
+    # member: the reported value is 1 bit
     assert abs(m_rank(rho, basis, opts).value - 1.0) < 1e-9
     assert m_rank(random_free(basis, 0), basis, opts).value == 0.0
     # the free-leaning start is searched even with a single restart
@@ -161,6 +161,9 @@ def test_rank_roof_certificate_reproduces_value():
         assert np.max(np.abs(res.certificate.density() - rho.matrix)) < 1e-9
         avg = sum(p * m_rank_pure(phi, basis).value for p, phi in res.certificate.members)
         assert abs(avg - res.value) < 1e-12
+        # the start checks, then one evaluation per start: a zero gradient
+        # stops every search at its start
+        assert res.iterations <= 2 * CAMPAIGN.restarts
 
 
 def test_rel_ent_roof_dominates_rel_ent():
@@ -216,8 +219,8 @@ def test_generic_convex_roof_agrees_with_l1_fast_path():
 
 def test_member_filter_restricts_decompositions():
     rho, basis = rho_x(0.25, 0.5)
-    # forbid every member: the penalized search cannot do better than the
-    # rejection cost, signalling an empty feasible set
+    # forbid every member: the search cannot do better than the rejection
+    # cost, signalling an empty feasible set
     opts = RoofOptions(ensemble_size_cap=2, restarts=2, max_evals=300,
                        member_filter=lambda phi: False)
     assert m_l1_roof(rho, basis, opts).value > 1e3
@@ -251,8 +254,8 @@ def test_malformed_extra_start_is_rejected():
 def test_rank_roof_matches_weight_on_qubit():
     # at d=2 the best rank ensemble puts maximal weight on basis-aligned
     # members, so the value coincides with the weight measure; the search,
-    # which only descends the balance tie-break of a cost with zero
-    # gradient, cannot reach those measure-zero points and gives 1 instead
+    # which stops at its starts on a cost with zero gradient, cannot reach
+    # those measure-zero points and gives 1 instead
     # -- document the upper-bound relation only
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(restarts=4, max_evals=800)
