@@ -79,6 +79,8 @@ def completeness_defect(operators) -> float:
 
 def make_channel(operators, check: bool = True) -> KrausChannel:
     ops = tuple(np.array(K, dtype=complex) for K in operators)
+    if not ops:
+        raise NotTracePreserving("no Kraus operators given")
     for K in ops:
         K.setflags(write=False)
     defect = completeness_defect(ops)
@@ -88,9 +90,6 @@ def make_channel(operators, check: bool = True) -> KrausChannel:
 
 
 def build_free_kraus(basis: SuperpositionBasis, specs) -> KrausChannel:
-    specs = list(specs)
-    if not specs:
-        raise NotTracePreserving("no Kraus operators given")
     return make_channel(_assemble(specs, basis))
 
 
@@ -157,9 +156,13 @@ def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights
     Trace-preserving on constant-overlap bases, where every permutation
     preserves the Gram matrix.
     """
+    permutations = list(permutations)
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1) > 1e-9 or np.min(w) < -1e-12:
         raise InvalidProbabilities(f"not a probability vector: {weights!r}")
+    if w.size != len(permutations):
+        raise InvalidProbabilities(
+            f"{w.size} weights for {len(permutations)} permutations")
     _check_gram_permutation_invariant(basis)
     Vinv = basis.biorthogonal_duals.conj().T
     ops = []

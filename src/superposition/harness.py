@@ -50,7 +50,7 @@ from .qstate import CoefficientMatrix
 # Roof searches inside campaigns run with reduced effort; the solver value
 # is an upper bound for any setting, so smaller budgets can only make the
 # campaigns harder to pass, never unsoundly easier.
-CAMPAIGN_ROOF_OPTS = {"restarts": 8, "max_evals": 1200, "seed": 0}
+CAMPAIGN_ROOF_OPTS = {"restarts": 8, "seed": 0}
 
 RESOURCE_L1_FLOOR = 0.2  # rejection threshold for resource-state sampling
 

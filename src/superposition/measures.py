@@ -21,6 +21,7 @@ from .qstate import (
     Ensemble,
     PureState,
     MEMBER_TOL,
+    _check_dims,
     coefficients_of,
     ensemble_from_isometry,
     free_state,
@@ -81,17 +82,13 @@ class RoofOptions:
     from one of them can return a larger ensemble than the cap.  restarts
     is the most starts searched (fewer once one meets the roof's lower
     bound); max_evals bounds one derivative-free search, run only by
-    convex_roof with a caller's pure measure and roofs with a member_filter.
-    member_filter restricts the admissible pure members (roofs over a
-    restricted closed set); decompositions containing a rejected member are
-    discarded.
+    convex_roof with a caller's pure measure.
     """
 
     ensemble_size_cap: Optional[int] = None
     restarts: int = 32
     max_evals: int = 6000
     seed: int = 0
-    member_filter: Optional[Callable[[PureState], bool]] = None
     extra_starts: tuple = ()  # isometries (any row count >= rank) to seed from
 
 
@@ -143,6 +140,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def m_rel_ent(rho: DensityMatrix, basis: SuperpositionBasis,
               max_iter: int = 2000) -> MeasureResult:
     """min_q S(rho || sum_i q_i |c_i><c_i|) by exponentiated-gradient descent."""
+    _check_dims(rho.dimension, basis.dimension)
     d = basis.dimension
     V = basis.vectors
     lr = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
@@ -209,25 +207,35 @@ def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
 # convex roof
 
 
-def _coordinate_descent(fun, x0, budget, step0):
-    x = np.array(x0, dtype=float)
-    best = fun(x)
+def _pattern_search(fun, T0, budget):
+    """Coordinate descent from the isometry T0 over the real and imaginary
+    parts of an ambient step X, each trial point retracted:
+    T = _retract(T0 + X), so that X = 0 is T0 itself.  A coordinate step
+    that lowers fun is repeated while it keeps lowering it; the step halves
+    after a sweep without a decrease.  Returns (T, value, evaluations,
+    converged), converged once the step falls to STEP_MIN within budget
+    evaluations."""
+    def chart(x):
+        return _retract(T0 + x.view(complex).reshape(T0.shape))
+
+    x = np.zeros(2 * T0.size)
+    best = fun(chart(x))
     evals = 1
-    step = step0
+    step = STEP0
     while step > STEP_MIN and evals < budget:
         improved = False
         for k in range(x.size):
             for s in (step, -step):
                 old = x[k]
                 x[k] = old + s
-                v = fun(x)
+                v = fun(chart(x))
                 evals += 1
                 if v < best - 1e-13:
                     best = v
                     improved = True
                     while evals < budget:  # ride the descent direction
                         x[k] += s
-                        v2 = fun(x)
+                        v2 = fun(chart(x))
                         evals += 1
                         if v2 < best - 1e-13:
                             best = v2
@@ -238,19 +246,7 @@ def _coordinate_descent(fun, x0, budget, step0):
                 x[k] = old
         if not improved:
             step *= 0.5
-    return x, best, evals, step <= STEP_MIN
-
-
-def _pattern_search(fun, T0, budget):
-    """Coordinate descent from the isometry T0 over the real and imaginary
-    parts of an ambient step X, each trial point retracted:
-    T = _retract(T0 + X), so that X = 0 is T0 itself."""
-    def chart(x):
-        return _retract(T0 + x.view(complex).reshape(T0.shape))
-
-    x, val, evals, conv = _coordinate_descent(
-        lambda x: fun(chart(x)), np.zeros(2 * T0.size), budget, STEP0)
-    return chart(x), val, evals, conv
+    return chart(x), best, evals, step <= STEP_MIN
 
 
 def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
@@ -276,6 +272,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     A result within ROOF_GAP of lower is converged, and iterations counts
     every cost evaluation, the start checks and every search included.
     """
+    _check_dims(rho.dimension, basis.dimension)
     B = weighted_eigvecs(rho)                   # d x r
     Cc = basis.biorthogonal_duals.conj().T @ B  # X = Cc @ T.T
     r = B.shape[1]
@@ -328,23 +325,6 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
             best_conv = True
             break
     return result(best_T, best_cost, total, best_conv)
-
-
-def _generic_cost(pure_measure, member_filter, V):
-    def cost(X):
-        raw = V @ X
-        total = 0.0
-        for m in range(raw.shape[1]):
-            p = float(np.sum(np.abs(raw[:, m]) ** 2))
-            if p < MEMBER_TOL:
-                continue
-            phi = PureState(raw[:, m] / math.sqrt(p))
-            if member_filter is not None and not member_filter(phi):
-                return 1e6  # rejected member: far above any measure value
-            total += p * pure_measure(phi)
-        return total
-
-    return cost
 
 
 def _project_stiefel_tangent(T, G):
@@ -470,32 +450,36 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     needs no gradient: each start is searched by the derivative-free
     retracted pattern search, at most opts.max_evals evaluations.
     """
-    return _roof_engine(rho, basis, opts,
-                        cost=_generic_cost(pure_measure, opts.member_filter, basis.vectors))
+    V = basis.vectors
+
+    def cost(X):
+        raw = V @ X
+        total = 0.0
+        for m in range(raw.shape[1]):
+            p = float(np.sum(np.abs(raw[:, m]) ** 2))
+            if p < MEMBER_TOL:
+                continue
+            phi = PureState(raw[:, m] / math.sqrt(p))
+            total += p * pure_measure(phi)
+        return total
+
+    return _roof_engine(rho, basis, opts, cost=cost)
 
 
 def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
               opts: RoofOptions = RoofOptions()) -> MeasureResult:
-    if opts.member_filter is not None:
-        return convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
     return _roof_engine(rho, basis, opts, value_grad=_l1_value_grad,
                         lower=m_l1(rho, basis).value)
 
 
 def m_rank(rho: DensityMatrix, basis: SuperpositionBasis,
            opts: RoofOptions = RoofOptions(), tol: float = 1e-6) -> MeasureResult:
-    if opts.member_filter is not None:
-        return convex_roof(
-            rho, basis, lambda phi: m_rank_pure(phi, basis, tol).value, opts)
     return _roof_engine(rho, basis, opts,
                         value_grad=lambda X: _rank_value_grad(X, basis.vectors, tol))
 
 
 def m_rel_ent_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                    opts: RoofOptions = RoofOptions()) -> MeasureResult:
-    if opts.member_filter is not None:
-        return convex_roof(
-            rho, basis, lambda phi: m_rel_ent(phi.density(), basis, max_iter=400).value, opts)
     return _roof_engine(rho, basis, opts, value_grad=lambda X: _rel_ent_value_grad(X, basis))
 
 
@@ -554,6 +538,7 @@ def delta_map(rho: DensityMatrix, basis: SuperpositionBasis) -> DensityMatrix:
     """Average of rho with its oblique-coefficient transpose; fixed points
     are exactly the states with real coefficient matrix."""
     _require_real_basis(basis)
+    _check_dims(rho.dimension, basis.dimension)
     out = _delta_raw(rho.matrix, basis)
     return DensityMatrix(0.5 * (out + out.conj().T))
 

@@ -6,13 +6,16 @@ from superposition import (
     PureState,
     apply,
     apply_selective,
+    block_projectors,
     build_basis,
     build_free_kraus,
     compose,
     constant_overlap_basis,
+    contiguous_partition,
     cyclic_preparation_channel,
     example1_channel,
     free_state,
+    generalized_free_channel,
     is_superposition_free,
     make_channel,
     permutation_mixture_channel,
@@ -33,6 +36,13 @@ def test_make_channel_checks_completeness():
         make_channel([K])
     chan = make_channel([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)])
     assert chan.completeness_defect < 1e-12
+
+
+def test_empty_kraus_list_is_not_trace_preserving():
+    proj = block_projectors(constant_overlap_basis(2, 0.5), contiguous_partition(2, [1]))
+    for build in (lambda: make_channel([]), lambda: generalized_free_channel(proj, [])):
+        with pytest.raises(NotTracePreserving):
+            build()
 
 
 def test_make_channel_copies_the_callers_operators():
@@ -92,6 +102,16 @@ def test_permutation_mixture_trace_preserving():
     rho = random_density(3, 3, 0)
     out = apply(chan, rho)
     assert abs(np.trace(out.matrix) - 1) < 1e-10
+
+
+def test_permutation_mixture_needs_one_weight_per_permutation():
+    basis = constant_overlap_basis(3, 0.4)
+    perms = [[1, 2, 0], [0, 2, 1], [2, 1, 0]]
+    with pytest.raises(InvalidProbabilities):
+        permutation_mixture_channel(basis, perms, [0.6, 0.4])
+    # any iterable of permutations is accepted
+    chan = permutation_mixture_channel(basis, iter(perms[:2]), [0.6, 0.4])
+    assert len(chan.operators) == 2
 
 
 def test_free_channels_preserve_free_states():

@@ -5,10 +5,12 @@ import pytest
 
 from superposition import (
     DensityMatrix,
+    RoofOptions,
     apply,
     build_basis,
     coefficients_of,
     constant_overlap_basis,
+    convex_roof,
     delta_map,
     example1_optimal_state,
     free_state,
@@ -16,8 +18,11 @@ from superposition import (
     m_delta,
     m_l1,
     m_l1_pure,
+    m_l1_roof,
+    m_rank,
     m_rank_pure,
     m_rel_ent,
+    m_rel_ent_roof,
     m_robustness,
     m_weight,
     max_measure_value,
@@ -28,7 +33,7 @@ from superposition import (
     rho_x,
     state_from_coefficients,
 )
-from superposition.errors import ComplexBasis, ComplexCoefficients
+from superposition.errors import ComplexBasis, ComplexCoefficients, DimensionMismatch
 from superposition.qstate import CoefficientMatrix, PureState, random_pure
 
 BASIS2 = constant_overlap_basis(2, 0.5)
@@ -51,6 +56,18 @@ def test_l1_closed_form_on_rho_x():
             rho, basis = rho_x(x, mu)
             want = 2 * abs(x) / (1 + 2 * mu * x)
             assert abs(m_l1(rho, basis).value - want) < 1e-10
+
+
+def test_dimension_mismatch_raises_in_every_measure():
+    rho, basis = random_density(3, 3, 0), BASIS2
+    opts = RoofOptions(ensemble_size_cap=1, restarts=1)
+    calls = [m_l1, m_weight, m_robustness, m_rel_ent, m_delta,
+             lambda r, b: m_l1_roof(r, b, opts), lambda r, b: m_rank(r, b, opts),
+             lambda r, b: m_rel_ent_roof(r, b, opts),
+             lambda r, b: convex_roof(r, b, lambda phi: m_l1_pure(phi, b), opts)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call(rho, basis)
 
 
 def test_l1_zero_on_free():

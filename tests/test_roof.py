@@ -29,7 +29,7 @@ from superposition.measures import (
 from superposition.qstate import DensityMatrix, PureState, random_isometry, weighted_eigvecs
 
 FAST = RoofOptions(ensemble_size_cap=2, restarts=6)
-# the axiom campaigns' roof settings: cap r, 8 restarts, 1200 evaluations
+# the axiom campaigns' roof settings: cap r, 8 restarts
 CAMPAIGN = RoofOptions(ensemble_size_cap=1, **CAMPAIGN_ROOF_OPTS)
 
 
@@ -116,13 +116,16 @@ def test_roof_vanishes_on_free():
         opts = RoofOptions(ensemble_size_cap=1, restarts=4)
         for seed in range(5):
             assert m_l1_roof(random_free(basis, seed), basis, opts).value < 1e-6
-    # the free-leaning start is exact, so the search stops at the start checks
+    # the free-leaning start is exact, so the search stops at the start
+    # checks, on the gradient and on the derivative-free path alike
     for d in (3, 4):
         basis = constant_overlap_basis(d, 0.5)
         for seed in range(3):
-            res = m_l1_roof(random_free(basis, seed), basis, CAMPAIGN)
-            assert res.value <= 1e-9
-            assert res.iterations <= 8 and res.converged
+            rho = random_free(basis, seed)
+            for res in (m_l1_roof(rho, basis, CAMPAIGN),
+                        convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), CAMPAIGN)):
+                assert res.value <= 1e-9
+                assert res.iterations <= 8 and res.converged
 
 
 def test_roof_pure_state_is_plain_value():
@@ -215,16 +218,6 @@ def test_generic_convex_roof_agrees_with_l1_fast_path():
     res = convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis),
                       RoofOptions(ensemble_size_cap=2, restarts=4, max_evals=2000))
     assert abs(res.value - 0.4) < 1e-3
-
-
-def test_member_filter_restricts_decompositions():
-    rho, basis = rho_x(0.25, 0.5)
-    # forbid every member: the search cannot do better than the rejection
-    # cost, signalling an empty feasible set
-    opts = RoofOptions(ensemble_size_cap=2, restarts=2, max_evals=300,
-                       member_filter=lambda phi: False)
-    assert m_l1_roof(rho, basis, opts).value > 1e3
-    assert m_rel_ent_roof(rho, basis, opts).value > 1e3
 
 
 def test_ensemble_warm_start_is_isometry():
