@@ -163,6 +163,9 @@ def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights
     if w.size != len(permutations):
         raise InvalidProbabilities(
             f"{w.size} weights for {len(permutations)} permutations")
+    for perm in permutations:
+        if sorted(perm) != list(range(basis.dimension)):
+            raise DimensionMismatch(f"not a permutation of 0..{basis.dimension - 1}: {perm!r}")
     _check_gram_permutation_invariant(basis)
     Vinv = basis.biorthogonal_duals.conj().T
     ops = []

@@ -309,32 +309,30 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
 # brute-force oracles (d = 2)
 
 
+def _free_grid(basis: SuperpositionBasis, step: float) -> np.ndarray:
+    """The free states V diag(q0, 1 - q0) V^dag at q0 = step, 2 step, ...
+    below 1, stacked (n, 2, 2)."""
+    q0 = np.arange(step, 1.0, step)
+    V = basis.vectors
+    return (V * np.stack([q0, 1.0 - q0], axis=1)[:, None, :]) @ V.conj().T
+
+
 def oracle_rel_ent_grid(rho: DensityMatrix, basis: SuperpositionBasis,
                         step: float = 1e-3) -> float:
     """Scan the free simplex; relative entropy in bits at each node."""
     lr = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
     const = float(np.sum(lr[lr > 1e-12] * np.log(lr[lr > 1e-12])))
-    V = basis.vectors
-    best = math.inf
-    for q0 in np.arange(step, 1.0, step):
-        sigma = (V * np.array([q0, 1.0 - q0])) @ V.conj().T
-        s, U = np.linalg.eigh(sigma)
-        diag = np.einsum("ij,jk,ki->i", U.conj().T, rho.matrix, U).real
-        val = const - float(np.sum(diag * np.log(np.clip(s, 1e-300, None))))
-        best = min(best, val)
-    return max(best / math.log(2.0), 0.0)
+    s, U = np.linalg.eigh(_free_grid(basis, step))
+    diag = np.einsum("nji,jk,nki->ni", U.conj(), rho.matrix, U).real
+    vals = const - np.sum(diag * np.log(np.clip(s, 1e-300, None)), axis=1)
+    return max(float(vals.min()) / math.log(2.0), 0.0)
 
 
 def oracle_robustness_grid(rho: DensityMatrix, basis: SuperpositionBasis,
                            step: float = 1e-3) -> float:
     """min over the free-state grid of lambda_max(sigma^{-1} rho) - 1."""
-    V = basis.vectors
-    best = math.inf
-    for q0 in np.arange(step, 1.0, step):
-        sigma = (V * np.array([q0, 1.0 - q0])) @ V.conj().T
-        ev = np.linalg.eigvals(np.linalg.solve(sigma, rho.matrix))
-        best = min(best, float(np.max(ev.real)))
-    return max(best - 1.0, 0.0)
+    ev = np.linalg.eigvals(np.linalg.solve(_free_grid(basis, step), rho.matrix))
+    return max(float(ev.real.max(axis=1).min()) - 1.0, 0.0)
 
 
 def oracle_weight_grid(rho: DensityMatrix, basis: SuperpositionBasis,

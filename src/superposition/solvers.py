@@ -12,9 +12,12 @@ diag(y).  Both programs are linear matrix inequalities in the real
 coordinates of B or C (``weight_barrier``, ``robustness_barrier``), and one
 class, ``LogDetBarrier``, supplies the objective, the log-det barrier and its
 gradient and Hessian for every partition.  ``barrier_descent`` follows the
-damped-Newton barrier path; continuation brings the duality gap well below
-the test tolerances for the d <= 8 instances this package targets (Boyd &
-Vandenberghe, Convex Optimization, section 11.3).  The relative-entropy
+barrier path by predictor-corrector steps: damped-Newton centring, loose at
+every barrier weight t but the last, with a step along the central path's
+tangent from each t to the next, and a tight centring polished by full
+Newton steps at the last t.  This brings the duality gap well below the
+test tolerances for the d <= 8 instances this package targets (Boyd &
+Vandenberghe, Convex Optimization, sections 11.3-11.5).  The relative-entropy
 projection onto the free simplex uses exponentiated-gradient (mirror)
 descent.
 """
@@ -24,6 +27,10 @@ import numpy as np
 BARRIER_T0 = 1.0
 BARRIER_TMIN = 1e-9
 BARRIER_SHRINK = 0.12
+_CENTRE_LOOSE = 0.1  # decrement / t that ends every stage but the last
+_CENTRE_TIGHT = 1e-14  # decrement that ends the last stage
+_PREDICTOR_HALVINGS = 10
+_POLISH_STEPS = 2
 NEWTON_MAX = 60
 BARRIER_RAISES = 8
 ARMIJO = 0.25  # sufficient-decrease fraction of the Newton decrement
@@ -33,18 +40,26 @@ MIRROR_FLOOR = 1e-12
 MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged when no step decreases
 
 
-def _newton_stage(x, fx, grad_hess, parts, t):
+def _newton_direction(g, H):
+    try:
+        return np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return -g
+
+
+def _newton_stage(x, fx, grad_hess, parts, t, tol):
     """Damped Newton on f_t = objective + t * barrier at fixed t, stepping
-    only on sufficient (Armijo) decrease.  fx = parts(x) on entry and exit."""
+    only on sufficient (Armijo) decrease, until the Newton decrement is at
+    most tol.  fx = parts(x) on entry and exit; also returns the gradient
+    and Hessian of f_t at the returned x."""
     iters = 0
-    for _ in range(NEWTON_MAX):
+    while True:
         g, H = grad_hess(x, t)
-        try:
-            dx = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            dx = -g
+        if iters == NEWTON_MAX:
+            break
+        dx = _newton_direction(g, H)
         decrement = float(-g @ dx)
-        if decrement < 1e-14:
+        if decrement <= tol:
             break
         f = fx[0] + t * fx[1]
         alpha = 1.0
@@ -59,27 +74,55 @@ def _newton_stage(x, fx, grad_hess, parts, t):
         x, fx = trial, ft
         iters += 1
         if decrement * alpha < 1e-13:
+            g, H = grad_hess(x, t)
             break
-    return x, fx, iters
+    return x, fx, iters, g, H
+
+
+def _feasible_step(x, fx, dx, parts, halvings):
+    """(x + 2^-j dx, its parts, 1) for the least j <= halvings at which parts
+    is finite; (x, fx, 0) if there is none."""
+    for _ in range(halvings + 1):
+        trial = x + dx
+        ft = parts(trial)
+        if np.isfinite(ft[1]):
+            return trial, ft, 1
+        dx = 0.5 * dx
+    return x, fx, 0
 
 
 def barrier_descent(x, grad_hess, parts):
-    """Barrier continuation: damped-Newton centering at t = BARRIER_T0,
-    shrinking by BARRIER_SHRINK down to BARRIER_TMIN.  A stage that uses
-    all NEWTON_MAX steps is followed by one a grid step higher, at most
+    """Predictor-corrector barrier path for a linear objective c.x (Boyd &
+    Vandenberghe, Convex Optimization, sections 11.3-11.5).
+
+    Stages run at t = BARRIER_T0, shrinking by BARRIER_SHRINK down to
+    BARRIER_TMIN.  Every stage but the last centres loosely, to a Newton
+    decrement of _CENTRE_LOOSE * t (the decrement of f_t / t, so the test is
+    scale-invariant), and then steps along the tangent of the central path
+    to the next t: dx = (1 - BARRIER_SHRINK) * H^-1 (g - c) from the stage's
+    last gradient g and Hessian H of f_t, halved until feasible and skipped
+    if it stays infeasible.  The last stage centres to an absolute decrement
+    of _CENTRE_TIGHT and then takes up to _POLISH_STEPS full Newton steps,
+    each kept only while it stays in the domain: the Armijo test cannot
+    resolve the last digits of f_t at small t.  A stage that uses all
+    NEWTON_MAX steps is followed by one a grid step higher, at most
     BARRIER_RAISES times.
 
     parts(x) returns the objective and the log-barrier term at x, the latter
     +inf outside the domain; grad_hess(x, t) returns the gradient and
-    Hessian of f_t = objective + t * barrier.  Returns (x, total Newton
-    iterations).
+    Hessian of f_t = objective + t * barrier, so grad_hess(x, 0.0) returns
+    c.  Returns (x, total Newton iterations), predictor and polish steps
+    included.
     """
     fx = parts(x)
+    c = grad_hess(x, 0.0)[0]
     total = 0
     raises = 0
     t = BARRIER_T0
-    while t >= BARRIER_TMIN:
-        x, fx, it = _newton_stage(x, fx, grad_hess, parts, t)
+    while True:
+        last = t * BARRIER_SHRINK < BARRIER_TMIN
+        tol = _CENTRE_TIGHT if last else _CENTRE_LOOSE * t
+        x, fx, it, g, H = _newton_stage(x, fx, grad_hess, parts, t, tol)
         total += it
         # Such a stage has not reached the central path: far from it each
         # damped step lowers f_t / t by a bounded amount, so on
@@ -87,8 +130,24 @@ def barrier_descent(x, grad_hess, parts):
         if it == NEWTON_MAX and raises < BARRIER_RAISES:
             t /= BARRIER_SHRINK
             raises += 1
+            continue
+        if last:
+            break
+        try:
+            dx = (1.0 - BARRIER_SHRINK) * np.linalg.solve(H, g - c)
+        except np.linalg.LinAlgError:
+            pass  # no tangent step
         else:
-            t *= BARRIER_SHRINK
+            x, fx, moved = _feasible_step(x, fx, dx, parts, _PREDICTOR_HALVINGS)
+            total += moved
+        t *= BARRIER_SHRINK
+    for k in range(_POLISH_STEPS):
+        if k:
+            g, H = grad_hess(x, t)
+        x, fx, moved = _feasible_step(x, fx, _newton_direction(g, H), parts, 0)
+        if not moved:
+            break
+        total += 1
     return x, total
 
 

@@ -24,6 +24,7 @@ from superposition import (
     rho_x,
 )
 from superposition.errors import (
+    DimensionMismatch,
     InvalidProbabilities,
     NotTracePreserving,
     WrongDimension,
@@ -112,6 +113,13 @@ def test_permutation_mixture_needs_one_weight_per_permutation():
     # any iterable of permutations is accepted
     chan = permutation_mixture_channel(basis, iter(perms[:2]), [0.6, 0.4])
     assert len(chan.operators) == 2
+
+
+def test_permutation_mixture_rejects_non_permutations():
+    basis = constant_overlap_basis(3, 0.4)
+    for perm in ([0, 1, 3], [0, 0, 1], [0, 1], [0, 1, 2, 3]):
+        with pytest.raises(DimensionMismatch):
+            permutation_mixture_channel(basis, [perm], [1.0])
 
 
 def test_free_channels_preserve_free_states():

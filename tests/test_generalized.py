@@ -198,9 +198,28 @@ def _assert_certificates_are_optimal(measure, basis, cuts):
     (m_robustness_generalized, 4, [1, 2, 3]),
     (m_weight_generalized, 8, list(range(1, 8))),
     (m_robustness_generalized, 8, list(range(1, 8))),
+    (m_weight_generalized, 6, [2, 4]),
 ])
 def test_generalized_certificates_are_optimal(measure, d, cuts):
     _assert_certificates_are_optimal(measure, constant_overlap_basis(d, 0.5), cuts)
+
+
+@pytest.mark.parametrize("d, state_seed, blocks", [
+    (4, 203, ((0,), (1, 2, 3))),
+    (4, 201, ((0,), (1, 2, 3))),
+    (3, 151, ((0,), (1, 2))),
+])
+def test_block_weight_certified_on_rank_deficient_states(d, state_seed, blocks):
+    # rank 2: R + WEIGHT_RIDGE - B is near-singular at the optimum, so a path
+    # that stops off centre leaves a dual point far from feasible.  The primal
+    # carries the 1e-10 ridge, worth about 1e-6 through Z here.
+    basis = constant_overlap_basis(d, 0.3)
+    proj = block_projectors(basis, BlockPartition(blocks))
+    rho = random_density(d, 2, state_seed)
+    R = coefficients_of(rho, basis).entries
+    result = m_weight_generalized(rho, proj)
+    lower = _dual_lower_bound(m_weight_generalized, result, R, basis.gram, blocks)
+    assert abs(result.value - lower) <= 1e-5
 
 
 @pytest.mark.parametrize("measure", [m_weight_generalized, m_robustness_generalized])

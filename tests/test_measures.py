@@ -134,6 +134,15 @@ def test_robustness_on_ill_conditioned_bases(d, state_seed, basis_seed, certifie
     assert abs(value - certified) <= 1e-6 * certified
 
 
+def test_barrier_path_step_count():
+    # predictor-corrector path: the fully centred path (every stage to a
+    # Newton decrement of 1e-14, no tangent step) took 1001 steps here
+    basis = constant_overlap_basis(3, 0.5)
+    steps = sum(m(random_density(3, 3, s), basis).iterations
+                for s in range(10) for m in (m_weight, m_robustness))
+    assert steps <= 1001 // 2
+
+
 def test_weight_certificate():
     rho, basis = rho_x(0.25, 0.5)
     res = m_weight(rho, basis)
