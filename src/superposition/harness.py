@@ -22,8 +22,9 @@ import numpy as np
 
 from .basis import SuperpositionBasis, constant_overlap_basis
 from .channels import apply, apply_selective, random_free_channel
-from .errors import UnknownChannelFamily, UnknownMeasure, UnknownOracle
+from .errors import ParameterOutOfRange, UnknownChannelFamily, UnknownMeasure, UnknownOracle
 from .measures import (
+    MeasureResult,
     RoofOptions,
     ensemble_warm_start,
     m_delta,
@@ -39,7 +40,6 @@ from .measures import (
 from .qstate import (
     DensityMatrix,
     coefficients_of,
-    free_state,
     random_density,
     random_free,
     rho_x,
@@ -107,14 +107,14 @@ def _digest(*arrays) -> str:
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    fn: Callable[[DensityMatrix, SuperpositionBasis], float]
+    fn: Callable[..., MeasureResult]
     tolerance: float
     channel_family: str  # "standard" | "real_dual"
     free_sampler: Callable[[SuperpositionBasis, int], DensityMatrix]
     resource_sampler: Callable[[SuperpositionBasis, int], DensityMatrix]
-    # roof measures expose the full result so convexity checks can seed the
-    # mixture search with the concatenated component ensembles
-    roof_fn: Optional[Callable] = None
+    # a roof's fn takes RoofOptions, and its certificate is the ensemble
+    # that convexity checks concatenate to seed the mixture search
+    roof: bool = False
 
 
 def _resource_state(basis, seed):
@@ -150,42 +150,40 @@ def _complex_coeff_resource(basis, seed):
     return rho
 
 
-def _campaign_roof(solver, rho, basis, extra_starts=()):
+def _evaluate(cfg: MeasureConfig, rho, basis, extra_starts=()) -> MeasureResult:
+    if not cfg.roof:
+        return cfg.fn(rho, basis)
     # rank-many members have matched the larger default cap empirically at
     # d <= 3 while keeping the search space small
-    opts = RoofOptions(ensemble_size_cap=1, extra_starts=tuple(extra_starts),
-                       **CAMPAIGN_ROOF_OPTS)
-    return solver(rho, basis, opts)
+    return cfg.fn(rho, basis, RoofOptions(ensemble_size_cap=1, extra_starts=extra_starts,
+                                          **CAMPAIGN_ROOF_OPTS))
+
+
+def _broken_l1(rho, basis) -> MeasureResult:
+    """Negative control: l1 plus a diagonal term; not faithful."""
+    diag = np.abs(np.diag(coefficients_of(rho, basis).entries)).sum()
+    return MeasureResult(value=m_l1(rho, basis).value + 0.1 * float(diag))
 
 
 def _measure_registry():
-    def std(fn, tol, roof_fn=None):
+    def std(fn, tol, roof=False):
         return MeasureConfig(fn=fn, tolerance=tol, channel_family="standard",
                              free_sampler=random_free,
-                             resource_sampler=_resource_state, roof_fn=roof_fn)
+                             resource_sampler=_resource_state, roof=roof)
 
     return {
-        "l1": std(lambda r, b: m_l1(r, b).value, 1e-6),
-        "rel_ent": std(lambda r, b: m_rel_ent(r, b).value, 1e-3),
-        "rank": std(lambda r, b: _campaign_roof(m_rank, r, b).value, 1e-3,
-                    roof_fn=lambda r, b, extra_starts=():
-                    _campaign_roof(m_rank, r, b, extra_starts)),
-        "robustness": std(lambda r, b: m_robustness(r, b).value, 1e-3),
-        "weight": std(lambda r, b: m_weight(r, b).value, 1e-3),
-        "l1_roof": std(lambda r, b: _campaign_roof(m_l1_roof, r, b).value, 1e-3,
-                       roof_fn=lambda r, b, extra_starts=():
-                       _campaign_roof(m_l1_roof, r, b, extra_starts)),
-        "rel_ent_roof": std(lambda r, b: _campaign_roof(m_rel_ent_roof, r, b).value, 1e-3,
-                            roof_fn=lambda r, b, extra_starts=():
-                            _campaign_roof(m_rel_ent_roof, r, b, extra_starts)),
+        "l1": std(m_l1, 1e-6),
+        "rel_ent": std(m_rel_ent, 1e-3),
+        "rank": std(m_rank, 1e-3, roof=True),
+        "robustness": std(m_robustness, 1e-3),
+        "weight": std(m_weight, 1e-3),
+        "l1_roof": std(m_l1_roof, 1e-3, roof=True),
+        "rel_ent_roof": std(m_rel_ent_roof, 1e-3, roof=True),
         "delta": MeasureConfig(
-            fn=lambda r, b: m_delta(r, b).value, tolerance=1e-6,
+            fn=m_delta, tolerance=1e-6,
             channel_family="real_dual", free_sampler=_real_coeff_free,
             resource_sampler=_complex_coeff_resource),
-        # negative control: l1 plus a diagonal term; not faithful
-        "broken_l1": std(lambda r, b: m_l1(r, b).value
-                         + 0.1 * float(np.abs(np.diag(coefficients_of(r, b).entries)).sum()),
-                         1e-6),
+        "broken_l1": std(_broken_l1, 1e-6),
     }
 
 
@@ -210,26 +208,26 @@ def _sample_channel(family: str, basis: SuperpositionBasis, seed: int):
 
 def _free_and_resource_trial(cfg, basis, family, tol, ts):
     free = cfg.free_sampler(basis, ts)
-    v = cfg.fn(free, basis)
+    v = _evaluate(cfg, free, basis).value
     yield free.matrix, v, tol, v - tol
     res = cfg.resource_sampler(basis, ts)
-    v = cfg.fn(res, basis)
+    v = _evaluate(cfg, res, basis).value
     yield res.matrix, tol, v, tol - v
 
 
 def _channel_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts)
-    before = cfg.fn(rho, basis)
-    after = cfg.fn(apply(chan, rho), basis)
+    before = _evaluate(cfg, rho, basis).value
+    after = _evaluate(cfg, apply(chan, rho), basis).value
     yield rho.matrix, after, before, after - before - tol
 
 
 def _selective_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts + 1)
-    before = cfg.fn(rho, basis)
-    avg = sum(p * cfg.fn(out, basis) for p, out in apply_selective(chan, rho))
+    before = _evaluate(cfg, rho, basis).value
+    avg = sum(p * _evaluate(cfg, out, basis).value for p, out in apply_selective(chan, rho))
     yield rho.matrix, avg, before, avg - before - tol
 
 
@@ -240,24 +238,39 @@ def _mixture_trial(cfg, basis, family, tol, ts):
     w = rng.exponential(size=k)
     w /= w.sum()
     mix = DensityMatrix(sum(wi * p.matrix for wi, p in zip(w, parts)))
-    if cfg.roof_fn is not None:
+    results = [_evaluate(cfg, p, basis) for p in parts]
+    rhs = sum(wi * res.value for wi, res in zip(w, results))
+    extra_starts = ()
+    if cfg.roof:
         # seed the mixture search with the concatenated component
         # ensembles, which form a valid decomposition of the mixture
-        results = [cfg.roof_fn(p, basis) for p in parts]
-        rhs = sum(wi * res.value for wi, res in zip(w, results))
         members = [(wi * p, phi) for wi, res in zip(w, results)
                    for p, phi in res.certificate.members]
-        start = ensemble_warm_start(mix, members)
-        lhs = cfg.roof_fn(mix, basis, extra_starts=(start,)).value
-    else:
-        lhs = cfg.fn(mix, basis)
-        rhs = sum(wi * cfg.fn(p, basis) for wi, p in zip(w, parts))
+        extra_starts = (ensemble_warm_start(mix, members),)
+    lhs = _evaluate(cfg, mix, basis, extra_starts).value
     yield mix.matrix, lhs, rhs, lhs - rhs - tol
 
 
+def _report(axiom, measure, count, tol, note, trial) -> AxiomReport:
+    """Run trial(t) for t in range(count).  Each trial yields (matrix, lhs,
+    rhs, slack) records; slack > 0 is a violation, reported by the matrix
+    digest."""
+    if count < 1:
+        raise ParameterOutOfRange(f"trials must be at least 1, got {count}")
+    violations = []
+    max_slack = -math.inf
+    for t in range(count):
+        for matrix, lhs, rhs, slack in trial(t):
+            max_slack = max(max_slack, slack)
+            if slack > 0:
+                violations.append({"trial": t, "digest": _digest(matrix),
+                                   "lhs": lhs, "rhs": rhs, "slack": slack})
+    return AxiomReport(axiom=axiom, measure=measure, trials=count, tolerance=tol,
+                       violations=tuple(violations), max_slack=max_slack, note=note)
+
+
 # One row per axiom: (axiom, trial-seed stride, trial cap, note, trial
-# function).  A trial function yields (matrix, lhs, rhs, slack) records for
-# one trial seed; slack > 0 is a violation, reported by the matrix digest.
+# function).  A trial function yields _report's records for one trial seed.
 # S2-S4 cap at 50 trials since each trial calls solvers on several states.
 _AXIOM_SPECS = (
     ("S1", 100003, None,
@@ -286,23 +299,10 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     if family not in ("standard", "real_dual"):
         raise UnknownChannelFamily(family)
     tolerance = cfg.tolerance if tol is None else tol
-    reports = []
-    for axiom, stride, cap, note, trial in _AXIOM_SPECS:
-        count = trials if cap is None else min(trials, cap)
-        violations = []
-        max_slack = -math.inf
-        for t in range(count):
-            for matrix, lhs, rhs, slack in trial(cfg, basis, family, tolerance,
-                                                 seed * stride + t):
-                max_slack = max(max_slack, slack)
-                if slack > 0:
-                    violations.append({"trial": t, "digest": _digest(matrix),
-                                       "lhs": lhs, "rhs": rhs, "slack": slack})
-        reports.append(AxiomReport(
-            axiom=axiom, measure=measure, trials=count, tolerance=tolerance,
-            violations=tuple(violations), max_slack=max_slack,
-            note=note.format(family=family)))
-    return reports
+    return [_report(axiom, measure, trials if cap is None else min(trials, cap), tolerance,
+                    note.format(family=family),
+                    lambda t: trial(cfg, basis, family, tolerance, seed * stride + t))
+            for axiom, stride, cap, note, trial in _AXIOM_SPECS]
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +343,14 @@ def oracle_weight_grid(rho: DensityMatrix, basis: SuperpositionBasis,
     r00 = float(R[0, 0].real)
     r11 = float(R[1, 1].real)
     c2 = float(np.abs(R[0, 1]) ** 2)
-    best = 0.0
-    for w0 in np.linspace(0.0, r00, steps):
-        head = r00 - w0
-        if head <= 0:
-            if c2 > 1e-30:
-                continue  # determinant condition fails at the corner
-            w1 = r11
-        else:
-            w1 = r11 - c2 / head
-        if w1 < 0:
-            continue
-        best = max(best, w0 + min(w1, r11))
+    w0 = np.linspace(0.0, r00, steps)
+    head = r00 - w0
+    inner = head > 0
+    w1 = np.full(steps, r11)
+    w1[inner] = r11 - c2 / head[inner]
+    # at the corner head <= 0 the determinant condition fails unless R01 = 0
+    feasible = (inner | (c2 <= 1e-30)) & (w1 >= 0)
+    best = (w0[feasible] + np.minimum(w1[feasible], r11)).max(initial=0.0)
     return 1.0 - min(best, 1.0)
 
 
@@ -402,31 +398,25 @@ def run_oracle_campaign(measure: str, oracle: str, trials: int = 50,
         raise UnknownOracle(f"oracle {oracle} checks {want_measure}, not {measure}")
     cfg = MEASURES[measure]
     basis = constant_overlap_basis(2, 0.5)
-    violations = []
-    max_slack = -math.inf
     rng = np.random.default_rng(seed)
-    for t in range(trials):
+
+    def trial(t):
         if oracle == "roof_grid":
             x = float(rng.uniform(-0.45, 0.45))
             rho, basis_x = rho_x(x, 0.5)
-            solver = m_l1_roof(rho, basis_x, RoofOptions(ensemble_size_cap=2,
-                                                         restarts=6, seed=0)).value
+            solver = cfg.fn(rho, basis_x, RoofOptions(ensemble_size_cap=2,
+                                                      restarts=6, seed=0)).value
             truth = oracle_roof_grid_rho_x(x, 0.5)
-            # the solver value is an upper bound: it may only undershoot the
-            # grid by numerical tolerance, and overshoot by the grid spacing
-            slack = max(solver - truth - tol, truth - solver - tol)
-            digest = _digest(np.array([x]))
+            key = np.array([x])
         else:
             rho = cfg.resource_sampler(basis, seed * 100069 + t)
-            solver = cfg.fn(rho, basis)
+            solver = _evaluate(cfg, rho, basis).value
             truth = oracle_fn(rho, basis)
-            slack = abs(solver - truth) - tol
-            digest = _digest(rho.matrix)
-        max_slack = max(max_slack, slack)
-        if slack > 0:
-            violations.append({"trial": t, "digest": digest,
-                               "lhs": solver, "rhs": truth, "slack": slack})
-    return AxiomReport(
-        axiom="ORACLE", measure=measure, trials=trials, tolerance=tol,
-        violations=tuple(violations), max_slack=max_slack,
-        note=f"brute-force oracle '{oracle}' at d=2")
+            key = rho.matrix
+        # checked two-sided, |solver - truth| <= tol: a roof decomposition
+        # may cost more than the grid minimum by the search's error, and less
+        # by the grid's discretization error
+        yield key, solver, truth, abs(solver - truth) - tol
+
+    return _report("ORACLE", measure, trials, tol,
+                   f"brute-force oracle '{oracle}' at d=2", trial)

@@ -3,7 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from superposition import random_density, rho_x
+from superposition import (
+    RoofOptions,
+    basis_from_json,
+    density_from_json,
+    m_delta,
+    m_l1,
+    m_l1_roof,
+    m_rank,
+    m_rel_ent,
+    m_rel_ent_roof,
+    m_robustness,
+    m_weight,
+    random_density,
+    rho_x,
+)
 from superposition.cli import main
 
 
@@ -48,6 +62,45 @@ def test_measure_l1(files, capsys):
     assert abs(payload["value"] - 0.4) < 1e-9
 
 
+def test_gram_and_measure_reject_non_integer_dimension(files, capsys):
+    state, _ = files
+    assert main(["gram", "--constant", "2.7", "0.5"]) == 2
+    assert main(["measure", "--state", state, "--constant", "2.5", "0.5",
+                 "--measure", "l1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integer" in captured.err
+
+
+def test_measure_dispatches_every_measure(files, capsys):
+    state, bas = files
+    with open(state) as fh:
+        rho = density_from_json(json.load(fh))
+    with open(bas) as fh:
+        basis = basis_from_json(json.load(fh))
+    opts = RoofOptions(restarts=1, seed=0)
+    direct = {
+        "l1": lambda: m_l1(rho, basis),
+        "rel_ent": lambda: m_rel_ent(rho, basis),
+        "rank": lambda: m_rank(rho, basis, opts),
+        "robustness": lambda: m_robustness(rho, basis),
+        "weight": lambda: m_weight(rho, basis),
+        "l1_roof": lambda: m_l1_roof(rho, basis, opts),
+        "rel_ent_roof": lambda: m_rel_ent_roof(rho, basis, opts),
+        "delta": lambda: m_delta(rho, basis),
+    }
+    for name, call in direct.items():
+        result = call()
+        code = main(["measure", "--state", state, "--basis", bas, "--measure", name,
+                     "--restarts", "1"])
+        assert code == (0 if result.converged else 3), name
+        assert capsys.readouterr().out.strip() == json.dumps(
+            result.to_json(), sort_keys=True, indent=1), name
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--state", state, "--basis", bas, "--measure", "broken_l1"])
+    assert exc.value.code == 2
+
+
 def test_measure_deterministic(files, capsys):
     state, bas = files
     main(["measure", "--state", state, "--basis", bas, "--measure", "l1_roof",
@@ -85,6 +138,17 @@ def test_example1_sweep(capsys):
     row = dict(zip(lines[0].split(","), lines[3].split(",")))
     assert float(row["x"]) == 0.0
     assert float(row["gap"]) < 1e-9
+
+
+def test_counts_below_one_exit_2(capsys):
+    for argv in (["axioms", "--measure", "l1", "--trials", "0"],
+                 ["axioms", "--measure", "l1", "--trials", "-3"],
+                 ["example1", "--x-steps", "0"],
+                 ["example1", "--x-steps", "-1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "at least 1" in captured.err, argv
 
 
 def test_axioms_pass_and_fail(capsys):

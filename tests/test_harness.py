@@ -1,8 +1,21 @@
+import numpy as np
 import pytest
 
-from superposition import constant_overlap_basis, run_axiom_campaign, run_oracle_campaign
-from superposition.errors import UnknownChannelFamily, UnknownMeasure, UnknownOracle
-from superposition.harness import MEASURES, report_json, report_table
+from superposition import (
+    coefficients_of,
+    constant_overlap_basis,
+    random_density,
+    random_free,
+    run_axiom_campaign,
+    run_oracle_campaign,
+)
+from superposition.errors import (
+    ParameterOutOfRange,
+    UnknownChannelFamily,
+    UnknownMeasure,
+    UnknownOracle,
+)
+from superposition.harness import MEASURES, oracle_weight_grid, report_json, report_table
 
 BASIS2 = constant_overlap_basis(2, 0.5)
 
@@ -67,6 +80,44 @@ def test_oracle_campaign_small():
     assert r.passed
     r = run_oracle_campaign("l1_roof", "roof_grid", trials=4, seed=1)
     assert r.passed
+
+
+def test_campaigns_reject_trials_below_one():
+    for trials in (0, -3):
+        with pytest.raises(ParameterOutOfRange):
+            run_axiom_campaign("l1", BASIS2, trials=trials)
+        with pytest.raises(ParameterOutOfRange):
+            run_oracle_campaign("weight", "weight_grid", trials=trials)
+
+
+def _weight_grid_loop(rho, basis, steps=2001):
+    """Node-by-node reference for oracle_weight_grid."""
+    R = coefficients_of(rho, basis).entries
+    r00 = float(R[0, 0].real)
+    r11 = float(R[1, 1].real)
+    c2 = float(np.abs(R[0, 1]) ** 2)
+    best = 0.0
+    for w0 in np.linspace(0.0, r00, steps):
+        head = r00 - w0
+        if head <= 0:
+            if c2 > 1e-30:
+                continue
+            w1 = r11
+        else:
+            w1 = r11 - c2 / head
+        if w1 < 0:
+            continue
+        best = max(best, w0 + min(w1, r11))
+    return 1.0 - min(best, 1.0)
+
+
+def test_oracle_weight_grid_matches_node_loop():
+    for mu in (0.5, -0.998, 0.999):
+        basis = constant_overlap_basis(2, mu)
+        for s in range(3):
+            for rho in (random_density(2, 1, s), random_density(2, 2, s),
+                        random_free(basis, s)):
+                assert oracle_weight_grid(rho, basis) == _weight_grid_loop(rho, basis)
 
 
 def test_oracle_errors():
