@@ -2,10 +2,13 @@
 
 A Kraus operator is superposition-free when it maps every basis vector to
 a scalar multiple of a basis vector; such operators have the dyadic form
-K = sum_k coeff_k |c_{f(k)}><c_k^perp| with an index map f.  The channel
+K = sum_k coeff_k |c_{f(k)}><c_k^perp| with an index map f, that is
+K = V A V^-1 with at most one nonzero entry per column of A.  The channel
 families here (cyclic preparations, permutation mixtures, the two-branch
-qubit channel of the worked example) are exactly trace-preserving by
-construction on permutation-invariant Gram matrices.
+qubit channel of the worked example) are the singleton-block case of the
+block permutations in generalized.py, and one helper builds them all.
+They are complete whenever every permutation preserves the Gram matrix,
+as on constant-overlap bases; make_channel rejects any family that is not.
 """
 
 from dataclasses import dataclass
@@ -53,22 +56,6 @@ class FreeKrausSpec:
     coefficients: tuple
 
 
-def _assemble(specs, basis: SuperpositionBasis):
-    d = basis.dimension
-    ops = []
-    for spec in specs:
-        if len(spec.index_map) != d or len(spec.coefficients) != d:
-            raise DimensionMismatch("spec arity does not match the basis dimension")
-        if any(not (0 <= f < d) for f in spec.index_map):
-            raise DimensionMismatch("index map value out of range")
-        K = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            K += spec.coefficients[k] * np.outer(
-                basis.vectors[:, spec.index_map[k]], basis.duals[:, k].conj())
-        ops.append(K)
-    return ops
-
-
 def completeness_defect(operators) -> float:
     d = operators[0].shape[0]
     acc = np.zeros((d, d), dtype=complex)
@@ -89,8 +76,25 @@ def make_channel(operators, check: bool = True) -> KrausChannel:
     return KrausChannel(operators=ops, completeness_defect=defect)
 
 
+def _oblique_channel(basis: SuperpositionBasis, matrices) -> KrausChannel:
+    """Channel with Kraus operators V A V^-1, one per oblique matrix A."""
+    Vinv = basis.biorthogonal_duals.conj().T
+    return make_channel([basis.vectors @ A @ Vinv for A in matrices])
+
+
 def build_free_kraus(basis: SuperpositionBasis, specs) -> KrausChannel:
-    return make_channel(_assemble(specs, basis))
+    """A[f(k), k] = coefficient_k xi_k, since <c_k^perp| = xi_k <chat_k|."""
+    d = basis.dimension
+    mats = []
+    for spec in specs:
+        if len(spec.index_map) != d or len(spec.coefficients) != d:
+            raise DimensionMismatch("spec arity does not match the basis dimension")
+        if any(not (0 <= f < d) for f in spec.index_map):
+            raise DimensionMismatch("index map value out of range")
+        A = np.zeros((d, d), dtype=complex)
+        A[list(spec.index_map), range(d)] = np.asarray(spec.coefficients) * basis.xi
+        mats.append(A)
+    return _oblique_channel(basis, mats)
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -127,67 +131,71 @@ def is_superposition_free(channel: KrausChannel, basis: SuperpositionBasis,
     return True
 
 
-def _check_gram_permutation_invariant(basis: SuperpositionBasis):
-    G = basis.gram
-    off = G[~np.eye(basis.dimension, dtype=bool)]
-    if off.size and (np.max(np.abs(off - off[0])) > 1e-9 or np.max(np.abs(off.imag)) > 1e-9):
-        raise NotTracePreserving(
-            "channel family needs a permutation-invariant Gram matrix "
-            "(constant real overlap)")
+def _probabilities(probs, n: int) -> np.ndarray:
+    """probs as a float vector of shape (n,), nonnegative up to 1e-12 and
+    summing to 1 within 1e-9; InvalidProbabilities otherwise."""
+    try:
+        p = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.shape != (n,) or not np.all(p >= -1e-12) or abs(p.sum() - 1) > 1e-9:
+        raise InvalidProbabilities(f"not a probability vector of length {n}: {probs!r}")
+    return p
 
 
-def cyclic_preparation_channel(basis: SuperpositionBasis, probs) -> KrausChannel:
-    """d operators K_i = sqrt(p_i) sum_k (1/xi_k)|c_{shift_i(k)}><c_k^perp|.
-
-    Applied to |c_0><c_0| this prepares the free state sum_i p_i|c_i><c_i|.
-    Exactly trace-preserving for constant-overlap bases.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size != basis.dimension or np.min(p) < -1e-12 or abs(p.sum() - 1) > 1e-9:
-        raise InvalidProbabilities(f"not a probability vector: {probs!r}")
+def _permutation_channel(basis: SuperpositionBasis, blocks, permutations,
+                         weights) -> KrausChannel:
+    """Kraus operators sqrt(q_n) V P_n V^-1, where P_n moves block i onto
+    block permutations[n][i] by the identity (moved blocks have equal
+    sizes); singleton blocks give the plain index permutations.  The family
+    is complete, and accepted by make_channel, when every P_n preserves the
+    Gram matrix."""
     d = basis.dimension
-    shifts = [[(k + i) % d for k in range(d)] for i in range(d)]
-    return permutation_mixture_channel(basis, shifts, p)
-
-
-def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights) -> KrausChannel:
-    """Kraus operators sqrt(q_n) V P_n V^-1 for index permutations P_n.
-
-    Trace-preserving on constant-overlap bases, where every permutation
-    preserves the Gram matrix.
-    """
-    permutations = list(permutations)
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1) > 1e-9 or np.min(w) < -1e-12:
-        raise InvalidProbabilities(f"not a probability vector: {weights!r}")
-    if w.size != len(permutations):
-        raise InvalidProbabilities(
-            f"{w.size} weights for {len(permutations)} permutations")
-    for perm in permutations:
-        if sorted(perm) != list(range(basis.dimension)):
-            raise DimensionMismatch(f"not a permutation of 0..{basis.dimension - 1}: {perm!r}")
-    _check_gram_permutation_invariant(basis)
     Vinv = basis.biorthogonal_duals.conj().T
+    cols = np.concatenate(blocks)
     ops = []
-    for perm, q in zip(permutations, w):
-        P = np.zeros((basis.dimension, basis.dimension))
-        for src, dst in enumerate(perm):
-            P[dst, src] = 1.0
+    for perm, q in zip(permutations, weights):
+        P = np.zeros((d, d))
+        P[np.concatenate([blocks[j] for j in perm]), cols] = 1.0
         ops.append(np.sqrt(max(q, 0.0)) * basis.vectors @ P @ Vinv)
     return make_channel(ops)
 
 
+def cyclic_preparation_channel(basis: SuperpositionBasis, probs) -> KrausChannel:
+    """d operators K_i = sqrt(p_i) sum_k (1/xi_k)|c_{shift_i(k)}><c_k^perp|,
+    the permutation mixture of the d cyclic shifts.
+
+    Applied to |c_0><c_0| this prepares the free state sum_i p_i|c_i><c_i|.
+    Exactly trace-preserving for constant-overlap bases; make_channel
+    rejects it where it is not complete.
+    """
+    d = basis.dimension
+    shifts = [[(k + i) % d for k in range(d)] for i in range(d)]
+    return permutation_mixture_channel(basis, shifts, probs)
+
+
+def permutation_mixture_channel(basis: SuperpositionBasis, permutations, weights) -> KrausChannel:
+    """Kraus operators sqrt(q_n) V P_n V^-1 for index permutations P_n: the
+    singleton-block case of the block permutations.
+
+    Complete whenever every permutation preserves the Gram matrix, as on
+    constant-overlap bases; make_channel rejects the family otherwise.
+    """
+    permutations = list(permutations)
+    w = _probabilities(weights, len(permutations))
+    d = basis.dimension
+    for perm in permutations:
+        if sorted(perm) != list(range(d)):
+            raise DimensionMismatch(f"not a permutation of 0..{d - 1}: {perm!r}")
+    return _permutation_channel(basis, [[k] for k in range(d)], permutations, w)
+
+
 def example1_channel(basis: SuperpositionBasis) -> KrausChannel:
     """The two-branch qubit channel {K_1 identity-indexed, K_2 swap-indexed},
-    each weighted sqrt(1/2), built on unit duals rescaled by 1/xi."""
+    each weighted sqrt(1/2): the identity-and-swap permutation mixture."""
     if basis.dimension != 2:
         raise WrongDimension("channel is defined for d = 2")
-    w = np.sqrt(0.5)
-    specs = [
-        FreeKrausSpec(index_map=(0, 1), coefficients=(w / basis.xi[0], w / basis.xi[1])),
-        FreeKrausSpec(index_map=(1, 0), coefficients=(w / basis.xi[0], w / basis.xi[1])),
-    ]
-    return build_free_kraus(basis, specs)
+    return permutation_mixture_channel(basis, [(0, 1), (1, 0)], [0.5, 0.5])
 
 
 def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:

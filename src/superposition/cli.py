@@ -81,6 +81,7 @@ def cmd_measure(args) -> int:
 def cmd_example1(args) -> int:
     if args.x_steps < 1:
         raise ParameterOutOfRange(f"--x-steps must be at least 1, got {args.x_steps}")
+    opts = RoofOptions(ensemble_size_cap=2, restarts=args.restarts, seed=args.seed)
     print("mu,x,closed_form,roof_value,gamma_value,gap")
     worst = 0.0
     for mu in args.mu:
@@ -89,9 +90,7 @@ def cmd_example1(args) -> int:
             x = float(x)
             closed = 2.0 * abs(x) / (1.0 + 2.0 * mu * x)
             rho, basis = rho_x(x, mu)
-            roof = m_l1_roof(rho, basis,
-                             RoofOptions(ensemble_size_cap=2,
-                                         restarts=args.restarts, seed=args.seed)).value
+            roof = m_l1_roof(rho, basis, opts).value
             _, gamma = gamma_example1(x, mu)
             gap = abs(roof - closed)
             worst = max(worst, gap)

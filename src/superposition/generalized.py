@@ -7,20 +7,13 @@ coefficient matrix is block-diagonal.  Singleton blocks recover the plain
 free states and measures; the single-block partition makes every state free.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import SuperpositionBasis
-from .channels import KrausChannel, make_channel
-from .errors import (
-    BlockSizeMismatch,
-    DimensionMismatch,
-    InvalidPartition,
-    InvalidProbabilities,
-    ZeroTrace,
-)
+from .channels import KrausChannel, _oblique_channel, _permutation_channel, _probabilities
+from .errors import BlockSizeMismatch, InvalidPartition, ZeroTrace
 from .measures import MeasureResult
 from .qstate import DensityMatrix, coefficients_of
 from .solvers import barrier_descent, robustness_barrier, weight_barrier
@@ -78,12 +71,8 @@ def block_projectors(basis: SuperpositionBasis, partition: BlockPartition) -> Ob
         raise InvalidPartition(
             f"partition covers {partition.dimension} indices, basis has {basis.dimension}")
     d = basis.dimension
-    ops = []
-    for block in partition.blocks:
-        E = np.zeros((d, d), dtype=complex)
-        for k in block:
-            E += np.outer(basis.vectors[:, k], basis.biorthogonal_duals[:, k].conj())
-        ops.append(E)
+    ops = [basis.vectors[:, b] @ basis.biorthogonal_duals[:, b].conj().T
+           for b in partition.blocks]
     proj = ObliqueProjectors(basis=basis, partition=partition, operators=tuple(ops))
     ident = sum(ops)
     assert np.max(np.abs(ident - np.eye(d))) < 1e-9
@@ -137,15 +126,14 @@ def generalized_free_channel(projectors: ObliqueProjectors, specs) -> KrausChann
     blocks, so block-free states stay block-free.  Completeness of the
     family is verified.
     """
-    basis = projectors.basis
     blocks = projectors.partition.blocks
     nb = len(blocks)
-    d = basis.dimension
-    ops = []
+    d = projectors.basis.dimension
+    mats = []
     for spec in specs:
         if len(spec.block_map) != nb or len(spec.block_matrices) != nb:
             raise BlockSizeMismatch("spec arity does not match the block count")
-        K = np.zeros((d, d), dtype=complex)
+        A = np.zeros((d, d), dtype=complex)
         for i, (f, c) in enumerate(zip(spec.block_map, spec.block_matrices)):
             if not (0 <= f < nb):
                 raise BlockSizeMismatch(f"block map value {f} out of range")
@@ -153,50 +141,38 @@ def generalized_free_channel(projectors: ObliqueProjectors, specs) -> KrausChann
             want = (len(blocks[f]), len(blocks[i]))
             if c.shape != want:
                 raise BlockSizeMismatch(f"block matrix {i} has shape {c.shape}, expected {want}")
-            K += basis.vectors[:, blocks[f]] @ c @ basis.biorthogonal_duals[:, blocks[i]].conj().T
-        ops.append(K)
-    return make_channel(ops)
+            A[np.ix_(blocks[f], blocks[i])] = c
+        mats.append(A)
+    return _oblique_channel(projectors.basis, mats)
 
 
 def block_shift_channel(projectors: ObliqueProjectors, probs) -> KrausChannel:
     """Block analogue of the cyclic preparation: Kraus n shifts every block
     cyclically by n positions with weight sqrt(p_n).  Requires equal block
-    sizes and a permutation-invariant Gram matrix."""
+    sizes; complete when the shifts preserve the Gram matrix, and rejected
+    by make_channel otherwise."""
     blocks = projectors.partition.blocks
     nb = len(blocks)
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
+    if len({len(b) for b in blocks}) != 1:
         raise BlockSizeMismatch("block shifts need equal-size blocks")
-    p = np.asarray(probs, dtype=float)
-    if p.size != nb or np.min(p) < -1e-12 or abs(p.sum() - 1) > 1e-9:
-        raise InvalidProbabilities(f"not a probability vector over blocks: {probs!r}")
-    size = sizes.pop()
-    eye = np.eye(size)
-    specs = []
-    for n in range(nb):
-        specs.append(BlockKrausSpec(
-            block_map=tuple((i + n) % nb for i in range(nb)),
-            block_matrices=tuple(math.sqrt(max(p[n], 0.0)) * eye for _ in range(nb)),
-        ))
-    return generalized_free_channel(projectors, specs)
+    p = _probabilities(probs, nb)
+    shifts = [[(i + n) % nb for i in range(nb)] for n in range(nb)]
+    return _permutation_channel(projectors.basis, blocks, shifts, p)
 
 
 def block_permutation_channel(projectors: ObliqueProjectors, block_perm) -> KrausChannel:
     """Single-Kraus channel permuting whole blocks; unitary (hence trace
     preserving) when the permutation preserves the Gram matrix, e.g. for
-    equal blocks over a constant-overlap basis."""
+    equal blocks over a constant-overlap basis, and rejected by
+    make_channel otherwise."""
     blocks = projectors.partition.blocks
     nb = len(blocks)
     perm = tuple(int(i) for i in block_perm)
     if sorted(perm) != list(range(nb)):
         raise BlockSizeMismatch(f"not a block permutation: {block_perm!r}")
-    mats = []
-    for i in range(nb):
-        if len(blocks[perm[i]]) != len(blocks[i]):
-            raise BlockSizeMismatch("permuted blocks differ in size")
-        mats.append(np.eye(len(blocks[i])))
-    spec = BlockKrausSpec(block_map=perm, block_matrices=tuple(mats))
-    return generalized_free_channel(projectors, [spec])
+    if any(len(blocks[j]) != len(b) for j, b in zip(perm, blocks)):
+        raise BlockSizeMismatch("permuted blocks differ in size")
+    return _permutation_channel(projectors.basis, blocks, [perm], [1.0])
 
 
 def random_block_free_channel(projectors: ObliqueProjectors, seed) -> KrausChannel:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import SuperpositionBasis
 from .channels import KrausChannel, apply, example1_channel, make_channel
-from .errors import ChannelMismatch, ComplexBasis, ComplexCoefficients
+from .errors import ChannelMismatch, ComplexBasis, ComplexCoefficients, ParameterOutOfRange
 from .qstate import (
     DensityMatrix,
     Ensemble,
@@ -82,7 +82,8 @@ class RoofOptions:
     from one of them can return a larger ensemble than the cap.  restarts
     is the most starts searched (fewer once one meets the roof's lower
     bound); max_evals bounds one derivative-free search, run only by
-    convex_roof with a caller's pure measure.
+    convex_roof with a caller's pure measure.  restarts, max_evals and a
+    given cap must be at least 1 (ParameterOutOfRange otherwise).
     """
 
     ensemble_size_cap: Optional[int] = None
@@ -90,6 +91,12 @@ class RoofOptions:
     max_evals: int = 6000
     seed: int = 0
     extra_starts: tuple = ()  # isometries (any row count >= rank) to seed from
+
+    def __post_init__(self):
+        for name in ("ensemble_size_cap", "restarts", "max_evals"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ParameterOutOfRange(f"{name} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +269,15 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     of it, the cheapest such start is returned unsearched.  Otherwise the
     starts are searched locally on the cost: all at once, one stack per
     start shape, by Riemannian descent when value_grad(X) gives the cost and
-    its gradient wrt conj(X) for each of a stack of X (a zero gradient
-    stops every search at its start); otherwise one after another by a
-    retracted pattern search on cost(X), at most opts.max_evals evaluations
-    each.  Both move the isometry T itself, with polar retraction, and
-    accept only decreases, so the lowest search value wins (exact ties to
-    the earlier start); this stops, and no further pattern search runs,
-    once the winner is within ROOF_GAP of lower.
+    a gradient G for each of a stack of X, either the real gradient
+    df/dRe X + i df/dIm X (_l1_value_grad) or half of it, df/dconj(X)
+    (_rel_ent_value_grad), since the factor only rescales the descent's
+    steps (a zero gradient stops every search at its start); otherwise one
+    after another by a retracted pattern search on cost(X), at most
+    opts.max_evals evaluations each.  Both move the isometry T itself, with
+    polar retraction, and accept only decreases, so the lowest search value
+    wins (exact ties to the earlier start); this stops, and no further
+    pattern search runs, once the winner is within ROOF_GAP of lower.
     A result within ROOF_GAP of lower is converged, and iterations counts
     every cost evaluation, the start checks and every search included.
     """
@@ -296,7 +305,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
         starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
     for extra in opts.extra_starts:
         starts.append(_retract(require_isometry_shape(extra, r)))
-    while len(starts) < max(opts.restarts, 1):
+    while len(starts) < opts.restarts:
         starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
 
     start_costs = [cost(Cc @ T0.T) for T0 in starts]
@@ -343,7 +352,10 @@ def _stacked_riemannian_descent(value_grad, starts, max_iter=400, gtol=1e-10):
     all starts of one shape in lockstep as one stack.
 
     value_grad(T) takes a stack T of isometries and returns their values and
-    Euclidean gradients wrt conj(T).  Every start keeps its own step size,
+    Euclidean gradients G: the real gradient df/dRe T + i df/dIm T or a
+    fixed positive multiple of it, such as df/dconj(T), its half.  Steps
+    start at length 1, so the multiple changes the path taken, not the
+    direction.  Every start keeps its own step size,
     stall counter and iteration count, so it follows the trajectory it would
     follow alone; a start that stops leaves the stack.  A start stops when
     its projected gradient is below gtol, after max_iter accepted steps,
@@ -387,7 +399,8 @@ def _stacked_riemannian_descent(value_grad, starts, max_iter=400, gtol=1e-10):
 def _l1_value_grad(X):
     """Ensemble l1 cost sum_m ((sum_i a_im)^2 - sum_i a_im^2), a = |X|, of
     the member coefficient columns X (or of each matrix of a stack), and its
-    (almost-everywhere) gradient wrt conj(X)."""
+    (almost-everywhere) real gradient G = df/dRe X + i df/dIm X, which is
+    2 df/dconj(X)."""
     a = np.abs(X)
     s = a.sum(axis=-2)
     grad = (2.0 * s[..., None, :] - 2.0 * a) * X / np.maximum(a, 1e-300)
@@ -407,10 +420,11 @@ def _rank_value_grad(X, V, tol):
 def _rel_ent_value_grad(X, basis):
     """Ensemble relative-entropy cost sum_m p_m m_rel_ent(phi_m) over the
     members m of X (or of each matrix of a stack) with raw vector
-    v_m = V @ X[:, m] and p_m = |v_m|^2 >= MEMBER_TOL, and its gradient wrt
-    conj(X).  A member's term min_q -v^dag log(sigma_q) v / ln 2 is
-    quadratic in v at fixed q, so by the envelope theorem its gradient is
-    -V^dag log(sigma_q*) v / ln 2 at the inner optimum q*."""
+    v_m = V @ X[:, m] and p_m = |v_m|^2 >= MEMBER_TOL, and its gradient
+    G = df/dconj(X), half the real gradient: df/dRe X = 2 Re G.  A member's
+    term min_q -v^dag log(sigma_q) v / ln 2 is quadratic in v at fixed q,
+    so by the envelope theorem its gradient is -V^dag log(sigma_q*) v / ln 2
+    at the inner optimum q*."""
     V = basis.vectors
     raw = V @ X
     p = (np.abs(raw) ** 2).sum(axis=-2)

@@ -7,6 +7,7 @@ from superposition import (
     apply,
     apply_selective,
     block_projectors,
+    block_shift_channel,
     build_basis,
     build_free_kraus,
     compose,
@@ -95,6 +96,18 @@ def test_cyclic_preparation_needs_constant_overlap():
         cyclic_preparation_channel(basis, [0.3, 0.3, 0.4])
 
 
+def test_permutation_mixture_accepts_complete_families_on_any_basis():
+    # the basis above: the identity preserves every Gram matrix, so
+    # completeness, not constant overlap, decides
+    v0 = np.array([1.0, 0.0, 0.0])
+    v1 = np.array([0.5, np.sqrt(0.75), 0.0])
+    v2 = np.array([0.0, 0.2, np.sqrt(1 - 0.04)])
+    basis = build_basis(np.stack([v0, v1, v2], axis=1))
+    chan = permutation_mixture_channel(basis, [[0, 1, 2]], [1.0])
+    assert chan.completeness_defect < 1e-12
+    assert np.max(np.abs(chan.operators[0] - np.eye(3))) < 1e-12
+
+
 def test_permutation_mixture_trace_preserving():
     basis = constant_overlap_basis(3, 0.4)
     chan = permutation_mixture_channel(basis, [[1, 2, 0], [0, 2, 1]], [0.6, 0.4])
@@ -113,6 +126,18 @@ def test_permutation_mixture_needs_one_weight_per_permutation():
     # any iterable of permutations is accepted
     chan = permutation_mixture_channel(basis, iter(perms[:2]), [0.6, 0.4])
     assert len(chan.operators) == 2
+
+
+def test_probability_vectors_need_one_entry_per_operator():
+    basis = constant_overlap_basis(3, 0.4)
+    perms = [[1, 2, 0], [0, 2, 1]]
+    for weights in ([[0.6, 0.4]], [[0.6], [0.4]], [0.6, "x"], [[0.6, 0.4], [1.0]]):
+        with pytest.raises(InvalidProbabilities):
+            permutation_mixture_channel(basis, perms, weights)
+    proj = block_projectors(basis, contiguous_partition(3, [1, 2]))
+    for probs in ([[0.5, 0.5, 0]], [0.5, 0.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(InvalidProbabilities):
+            block_shift_channel(proj, probs)
 
 
 def test_permutation_mixture_rejects_non_permutations():

@@ -151,6 +151,19 @@ def test_counts_below_one_exit_2(capsys):
         assert "at least 1" in captured.err, argv
 
 
+def test_roof_restarts_below_one_exit_2(files, capsys):
+    state, bas = files
+    for argv in (["measure", "--state", state, "--basis", bas, "--measure", "l1_roof",
+                  "--restarts", "-5"],
+                 ["measure", "--state", state, "--basis", bas, "--measure", "rank",
+                  "--restarts", "0"],
+                 ["example1", "--restarts", "-3"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "at least 1" in captured.err, argv
+
+
 def test_axioms_pass_and_fail(capsys):
     assert main(["axioms", "--measure", "l1", "--d", "2", "--mu", "0.5",
                  "--trials", "10", "--seed", "0"]) == 0

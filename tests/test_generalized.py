@@ -132,6 +132,17 @@ def test_block_shift_reduces_to_cyclic_on_singletons():
     assert np.max(np.abs(apply(a, rho).matrix - apply(b, rho).matrix)) < 1e-9
 
 
+def test_block_permutation_on_singletons_is_the_plain_permutation():
+    from superposition import permutation_mixture_channel
+
+    basis = constant_overlap_basis(4, 0.3)
+    proj = block_projectors(basis, contiguous_partition(4, [1, 2, 3]))
+    for perm in ((0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
+        (a,) = block_permutation_channel(proj, perm).operators
+        (b,) = permutation_mixture_channel(basis, [perm], [1.0]).operators
+        assert np.max(np.abs(a - b)) <= 1e-15
+
+
 def test_singleton_blocks_match_plain_measures():
     for d in (2, 3, 4):
         basis = constant_overlap_basis(d, 0.5)

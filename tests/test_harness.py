@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,3 +136,16 @@ def test_report_table_format():
     reports = run_axiom_campaign("l1", BASIS2, trials=5, seed=1)
     table = report_table(reports)
     assert "S1" in table and "pass" in table
+
+
+def test_axiom_campaigns_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "axiom_campaigns.py"),
+                           "--trials", "1"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    # 6 measures x d = 2, 3 x S1-S4
+    assert len(rows) == 48
+    assert all(row.split()[-1] == "pass" for row in rows)

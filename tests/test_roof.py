@@ -19,7 +19,7 @@ from superposition import (
 )
 from superposition import measures
 from superposition.harness import CAMPAIGN_ROOF_OPTS
-from superposition.errors import NotIsometry
+from superposition.errors import NotIsometry, ParameterOutOfRange
 from superposition.measures import (
     ROOF_GAP,
     _l1_value_grad,
@@ -200,6 +200,22 @@ def test_rel_ent_value_grad_is_envelope_gradient():
                 assert abs(np.sum(fd) - 2 * part) <= 1e-4 * max(abs(2 * part), 1.0)
 
 
+def test_l1_value_grad_is_real_gradient():
+    # G = d f / d Re X + i d f / d Im X, twice d f / d conj(X); the roof
+    # values depend on this scale through the descent's first step
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    assert np.min(np.abs(X)) > 1e-2
+    _, G = _l1_value_grad(X)
+    h = 1e-6
+    for idx in np.ndindex(X.shape):
+        for unit, part in ((1.0, G[idx].real), (1j, G[idx].imag)):
+            step = np.zeros(X.shape, dtype=complex)
+            step[idx] = h * unit
+            fd = (_l1_value_grad(X + step)[0] - _l1_value_grad(X - step)[0]) / (2 * h)
+            assert abs(fd - part) <= 1e-6 * max(abs(part), 1.0)
+
+
 def test_rel_ent_roof_certificate_reproduces_value():
     # the stacked gradient search needs 613 evaluations; the derivative-free
     # search it replaced took 1821
@@ -235,6 +251,14 @@ def test_ensemble_warm_start_is_isometry():
                           RoofOptions(ensemble_size_cap=2, restarts=1,
                                       extra_starts=(T,)))
     assert abs(generic.value - res.value) < 1e-8
+
+
+def test_roof_options_below_one_are_rejected():
+    for kwargs in ({"restarts": 0}, {"restarts": -5}, {"max_evals": 0},
+                   {"ensemble_size_cap": 0}, {"ensemble_size_cap": -1}):
+        with pytest.raises(ParameterOutOfRange):
+            RoofOptions(**kwargs)
+    assert RoofOptions(ensemble_size_cap=1, restarts=1, max_evals=1).restarts == 1
 
 
 def test_malformed_extra_start_is_rejected():
