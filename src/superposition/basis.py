@@ -38,16 +38,24 @@ class SuperpositionBasis:
         return bool(np.max(np.abs(self.vectors.imag)) < 1e-12)
 
     def to_json(self) -> dict:
-        flat = [[float(z.real), float(z.imag)]
-                for z in self.vectors.flatten(order="F")]
-        return {"dimension": self.dimension, "vectors": flat}
+        return {"dimension": self.dimension,
+                "vectors": matrix_to_json(self.vectors.flatten(order="F"))}
+
+
+def matrix_to_json(a: np.ndarray) -> list:
+    """A complex array of any shape as nested [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """The complex array whose [re, im] pairs obj holds."""
+    arr = np.asarray(obj, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def basis_from_json(obj: dict) -> SuperpositionBasis:
     d = int(obj["dimension"])
-    pairs = np.asarray(obj["vectors"], dtype=float)
-    cols = (pairs[:, 0] + 1j * pairs[:, 1]).reshape((d, d), order="F")
-    return build_basis(cols)
+    return build_basis(matrix_from_json(obj["vectors"]).reshape((d, d), order="F"))
 
 
 def build_basis(columns: np.ndarray) -> SuperpositionBasis:

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .basis import basis_from_json, constant_overlap_basis, gram_determinant
+from .basis import basis_from_json, constant_overlap_basis, gram_determinant, matrix_to_json
 from .errors import ParameterOutOfRange, SuperpositionError
 from .harness import (
     MEASURES,
@@ -53,7 +53,7 @@ def cmd_gram(args) -> int:
     det = gram_determinant(basis)
     payload = {
         "dimension": basis.dimension,
-        "gram": [[[float(z.real), float(z.imag)] for z in row] for row in basis.gram],
+        "gram": matrix_to_json(basis.gram),
         "determinant": det,
         "xi": [float(x) for x in basis.xi],
         "independent": bool(det > 0),
@@ -70,17 +70,20 @@ def cmd_measure(args) -> int:
         result = cfg.fn(rho, basis, RoofOptions(restarts=args.restarts, seed=args.seed))
     else:
         result = cfg.fn(rho, basis)
+    print(json.dumps(result.to_json(), sort_keys=True, indent=1))
     if not result.converged:
         print(f"measure {args.measure} did not converge", file=sys.stderr)
-        print(json.dumps(result.to_json(), sort_keys=True, indent=1))
         return EXIT_NUMERIC
-    print(json.dumps(result.to_json(), sort_keys=True, indent=1))
     return EXIT_OK
 
 
 def cmd_example1(args) -> int:
     if args.x_steps < 1:
         raise ParameterOutOfRange(f"--x-steps must be at least 1, got {args.x_steps}")
+    # every mu is checked before the header, so a rejected sweep prints nothing
+    for mu in args.mu:
+        if not -1.0 < mu < 1.0:
+            raise ParameterOutOfRange(f"mu={mu} outside (-1, 1)")
     opts = RoofOptions(ensemble_size_cap=2, restarts=args.restarts, seed=args.seed)
     print("mu,x,closed_form,roof_value,gamma_value,gap")
     worst = 0.0

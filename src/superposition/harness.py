@@ -12,6 +12,7 @@ campaigns give necessary conditions; they cannot quantify over all free
 operations.  Reports are deterministic per (seed, configuration).
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -70,15 +71,7 @@ class AxiomReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "measure": self.measure,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "violations": list(self.violations),
-            "max_slack": self.max_slack,
-            "note": self.note,
-        }
+        return {**dataclasses.asdict(self), "violations": list(self.violations)}
 
     def to_row(self) -> str:
         status = "pass" if self.passed else f"FAIL({len(self.violations)})"
@@ -117,15 +110,20 @@ class MeasureConfig:
     roof: bool = False
 
 
+def _first_accepted(d, base, accept):
+    """First of 64 draws random_density(d, d, base + k) that accept takes, else the last."""
+    for attempt in range(64):
+        rho = random_density(d, d, base + attempt)
+        if accept(rho):
+            break
+    return rho
+
+
 def _resource_state(basis, seed):
     """Random full-rank state, rejecting near-free samples so positivity
     under S1 is tested with a margin."""
-    d = basis.dimension
-    for attempt in range(64):
-        rho = random_density(d, d, seed * 977 + attempt)
-        if m_l1(rho, basis).value >= RESOURCE_L1_FLOOR:
-            return rho
-    return rho
+    return _first_accepted(basis.dimension, seed * 977,
+                           lambda rho: m_l1(rho, basis).value >= RESOURCE_L1_FLOOR)
 
 
 def _real_coeff_free(basis, seed):
@@ -141,13 +139,9 @@ def _real_coeff_free(basis, seed):
 
 def _complex_coeff_resource(basis, seed):
     """State whose coefficient matrix has a substantial imaginary part."""
-    d = basis.dimension
-    for attempt in range(64):
-        rho = random_density(d, d, seed * 661 + attempt)
-        R = coefficients_of(rho, basis).entries
-        if np.max(np.abs(R.imag)) >= 0.05:
-            return rho
-    return rho
+    return _first_accepted(
+        basis.dimension, seed * 661,
+        lambda rho: np.max(np.abs(coefficients_of(rho, basis).entries.imag)) >= 0.05)
 
 
 def _evaluate(cfg: MeasureConfig, rho, basis, extra_starts=()) -> MeasureResult:
@@ -294,6 +288,9 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     """
     if measure not in MEASURES:
         raise UnknownMeasure(f"unknown measure {measure!r}")
+    if basis.dimension < 2:
+        # every state is free at d = 1, so S1 has no resource state to test
+        raise ParameterOutOfRange(f"dimension must be at least 2, got {basis.dimension}")
     cfg = MEASURES[measure]
     family = channel_family or cfg.channel_family
     if family not in ("standard", "real_dual"):

@@ -13,12 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import SuperpositionBasis
+from .basis import SuperpositionBasis, matrix_to_json
 from .channels import KrausChannel, apply, example1_channel, make_channel
 from .errors import ChannelMismatch, ComplexBasis, ComplexCoefficients, ParameterOutOfRange
 from .qstate import (
     DensityMatrix,
-    Ensemble,
     PureState,
     MEMBER_TOL,
     _check_dims,
@@ -55,21 +54,21 @@ class MeasureResult:
     converged: bool = True
 
     def to_json(self) -> dict:
-        cert = self.certificate
-        if isinstance(cert, np.ndarray):
-            cert = cert.tolist()
-        elif isinstance(cert, Ensemble):
-            cert = cert.to_json()
-        elif isinstance(cert, dict):
-            cert = {k: (v.tolist() if isinstance(v, np.ndarray) else
-                        v.to_json() if hasattr(v, "to_json") else v)
-                    for k, v in cert.items()}
         return {
             "value": self.value,
-            "certificate": cert,
+            "certificate": _jsonable(self.certificate),
             "iterations": self.iterations,
             "converged": self.converged,
         }
+
+
+def _jsonable(obj):
+    """A certificate as JSON, complex arrays as [re, im] pairs."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj) if np.iscomplexobj(obj) else obj.tolist()
+    return obj.to_json() if hasattr(obj, "to_json") else obj
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,15 @@ class RoofOptions:
     extra_starts: tuple = ()  # isometries (any row count >= rank) to seed from
 
     def __post_init__(self):
-        for name in ("ensemble_size_cap", "restarts", "max_evals"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ParameterOutOfRange(f"{name} must be at least 1, got {value}")
+        _require_counts(ensemble_size_cap=self.ensemble_size_cap, restarts=self.restarts,
+                        max_evals=self.max_evals)
+
+
+def _require_counts(**counts):
+    """Raise ParameterOutOfRange for a count below 1; None means unset."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ParameterOutOfRange(f"{name} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +613,9 @@ def max_measure_value(basis: SuperpositionBasis,
                       restarts: int = 16, seed: int = 0,
                       max_evals: int = 4000) -> float:
     """Best-effort maximum of a pure-state measure over the unit sphere, by
-    the retracted pattern search over d x 1 isometries from seeded starts."""
+    the retracted pattern search over d x 1 isometries from seeded starts.
+    restarts and max_evals must be at least 1 (ParameterOutOfRange otherwise)."""
+    _require_counts(restarts=restarts, max_evals=max_evals)
     d = basis.dimension
     if d == 1:
         return 0.0

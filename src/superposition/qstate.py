@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SuperpositionBasis, constant_overlap_basis
+from .basis import SuperpositionBasis, constant_overlap_basis, matrix_from_json, matrix_to_json
 from .errors import (
     DimensionMismatch,
     InvalidCoefficients,
@@ -65,7 +65,7 @@ class PureState:
         return DensityMatrix(np.outer(self.vector, self.vector.conj()))
 
     def to_json(self) -> list:
-        return [[float(z.real), float(z.imag)] for z in self.vector]
+        return matrix_to_json(self.vector)
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,8 @@ class Ensemble:
         return [{"p": float(p), "state": phi.to_json()} for p, phi in self.members]
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def density_from_json(obj) -> DensityMatrix:
     return DensityMatrix(matrix_from_json(obj))
-
-
-def pure_from_json(obj) -> PureState:
-    return PureState(matrix_from_json(obj))
 
 
 def _check_dims(a: int, b: int):

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from superposition import (
+    MeasureResult,
     RoofOptions,
     basis_from_json,
     density_from_json,
@@ -19,6 +21,7 @@ from superposition import (
     rho_x,
 )
 from superposition.cli import main
+from superposition.harness import MEASURES
 
 
 @pytest.fixture()
@@ -149,6 +152,39 @@ def test_counts_below_one_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert "at least 1" in captured.err, argv
+
+
+def test_example1_rejects_mu_before_printing(capsys):
+    assert main(["example1", "--mu", "0.5", "1.0", "--x-steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu=1.0 outside (-1, 1)" in captured.err
+
+
+def test_axioms_below_dimension_two_exit_2(capsys):
+    assert main(["axioms", "--measure", "l1", "--d", "1", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2" in captured.err
+
+
+def test_axioms_appends_oracle_report_at_d2_only(capsys):
+    for d, axioms in ((2, ["S1", "S2", "S3", "S4", "ORACLE"]), (3, ["S1", "S2", "S3", "S4"])):
+        assert main(["axioms", "--measure", "weight", "--d", str(d), "--trials", "2"]) == 0
+        assert [r["axiom"] for r in json.loads(capsys.readouterr().out)] == axioms
+
+
+def test_measure_not_converged_exit_3(files, capsys, monkeypatch):
+    state, bas = files
+    stalled = dataclasses.replace(
+        MEASURES["l1"], fn=lambda rho, basis: MeasureResult(value=0.5, converged=False))
+    monkeypatch.setitem(MEASURES, "l1", stalled)
+    assert main(["measure", "--state", state, "--basis", bas, "--measure", "l1"]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["converged"] is False
+    assert payload["value"] == 0.5
+    assert "did not converge" in captured.err
 
 
 def test_roof_restarts_below_one_exit_2(files, capsys):

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from superposition import (
+    BlockPartition,
     DensityMatrix,
     RoofOptions,
     apply,
+    block_projectors,
     build_basis,
     coefficients_of,
     constant_overlap_basis,
@@ -24,7 +27,9 @@ from superposition import (
     m_rel_ent,
     m_rel_ent_roof,
     m_robustness,
+    m_robustness_generalized,
     m_weight,
+    m_weight_generalized,
     max_measure_value,
     random_density,
     random_free,
@@ -33,7 +38,13 @@ from superposition import (
     rho_x,
     state_from_coefficients,
 )
-from superposition.errors import ComplexBasis, ComplexCoefficients, DimensionMismatch
+from superposition.basis import matrix_from_json
+from superposition.errors import (
+    ComplexBasis,
+    ComplexCoefficients,
+    DimensionMismatch,
+    ParameterOutOfRange,
+)
 from superposition.qstate import CoefficientMatrix, PureState, random_pure
 
 BASIS2 = constant_overlap_basis(2, 0.5)
@@ -240,6 +251,35 @@ def test_max_measure_value_l1_closed_form():
         got = max_measure_value(basis, lambda phi: m_l1_pure(phi, basis),
                                 restarts=8, seed=0)
         assert abs(got - 1 / (1 - mu)) < 1e-6
+
+
+def test_max_measure_value_rejects_empty_budgets():
+    def measure(phi):
+        raise AssertionError("evaluated with an empty budget")
+
+    for kwargs in ({"restarts": 0}, {"restarts": -3}, {"max_evals": 0}):
+        with pytest.raises(ParameterOutOfRange, match="at least 1"):
+            max_measure_value(BASIS2, measure, **kwargs)
+
+
+def test_every_result_serializes():
+    rho = random_density(2, 2, 1)
+    opts = RoofOptions(restarts=2)
+    results = [fn(rho, BASIS2) for fn in (m_l1, m_rel_ent, m_robustness, m_weight, m_delta)]
+    results += [fn(rho, BASIS2, opts) for fn in (m_l1_roof, m_rank, m_rel_ent_roof)]
+    results.append(convex_roof(rho, BASIS2, lambda phi: m_l1_pure(phi, BASIS2), opts))
+    results.append(gamma_example1(0.25, 0.5)[1])
+    rho3 = random_density(3, 3, 1)
+    proj = block_projectors(constant_overlap_basis(3, 0.5), BlockPartition(((0,), (1, 2))))
+    weight = m_weight_generalized(rho3, proj)
+    robustness = m_robustness_generalized(rho3, proj)
+    for r in results + [weight, robustness]:
+        payload = json.loads(json.dumps(r.to_json()))
+        assert payload["value"] == r.value
+    # the block certificates come back as the complex matrices they are
+    for r, key in ((weight, "B"), (robustness, "C")):
+        got = matrix_from_json(r.to_json()["certificate"][key])
+        assert np.array_equal(got, r.certificate[key])
 
 
 def test_monotone_under_free_channels():
