@@ -22,7 +22,7 @@ from .errors import (
     NotTracePreserving,
     WrongDimension,
 )
-from .qstate import DensityMatrix, matrix_to_json
+from .qstate import DensityMatrix, _check_dims, matrix_to_json
 
 COMPLETENESS_TOL = 1e-8
 OUTCOME_TOL = 1e-12
@@ -98,6 +98,7 @@ def build_free_kraus(basis: SuperpositionBasis, specs) -> KrausChannel:
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    _check_dims(channel.dimension, rho.dimension)
     out = np.zeros_like(rho.matrix)
     for K in channel.operators:
         out = out + K @ rho.matrix @ K.conj().T
@@ -107,6 +108,7 @@ def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 def apply_selective(channel: KrausChannel, rho: DensityMatrix):
     """Selective measurement outcomes [(p_n, rho_n)], zero-probability
     branches omitted."""
+    _check_dims(channel.dimension, rho.dimension)
     outcomes = []
     for K in channel.operators:
         raw = K @ rho.matrix @ K.conj().T
@@ -122,6 +124,7 @@ def is_superposition_free(channel: KrausChannel, basis: SuperpositionBasis,
     """True iff every Kraus operator maps each basis vector to a scalar
     multiple of some basis vector, i.e. the oblique matrix V^-1 K V has at
     most one nonzero entry per column."""
+    _check_dims(channel.dimension, basis.dimension)
     Vinv = basis.biorthogonal_duals.conj().T
     for K in channel.operators:
         A = Vinv @ K @ basis.vectors
@@ -151,14 +154,13 @@ def _permutation_channel(basis: SuperpositionBasis, blocks, permutations,
     is complete, and accepted by make_channel, when every P_n preserves the
     Gram matrix."""
     d = basis.dimension
-    Vinv = basis.biorthogonal_duals.conj().T
     cols = np.concatenate(blocks)
-    ops = []
+    mats = []
     for perm, q in zip(permutations, weights):
         P = np.zeros((d, d))
-        P[np.concatenate([blocks[j] for j in perm]), cols] = 1.0
-        ops.append(np.sqrt(max(q, 0.0)) * basis.vectors @ P @ Vinv)
-    return make_channel(ops)
+        P[np.concatenate([blocks[j] for j in perm]), cols] = np.sqrt(max(q, 0.0))
+        mats.append(P)
+    return _oblique_channel(basis, mats)
 
 
 def cyclic_preparation_channel(basis: SuperpositionBasis, probs) -> KrausChannel:

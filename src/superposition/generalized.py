@@ -15,7 +15,7 @@ from .basis import SuperpositionBasis
 from .channels import KrausChannel, _oblique_channel, _permutation_channel, _probabilities
 from .errors import BlockSizeMismatch, InvalidPartition, ZeroTrace
 from .measures import MeasureResult
-from .qstate import DensityMatrix, coefficients_of
+from .qstate import DensityMatrix, _check_dims, coefficients_of
 from .solvers import barrier_descent, robustness_barrier, weight_barrier
 
 
@@ -94,6 +94,7 @@ def _block_pinch(R: np.ndarray, partition: BlockPartition) -> np.ndarray:
 def block_dephase(rho: DensityMatrix, projectors: ObliqueProjectors) -> DensityMatrix:
     """Normalized pinching sum_i E_i rho E_i^dag; keeps the diagonal blocks
     of the oblique coefficient matrix."""
+    _check_dims(rho.dimension, projectors.basis.dimension)
     out = np.zeros_like(rho.matrix)
     for E in projectors.operators:
         out = out + E @ rho.matrix @ E.conj().T
@@ -198,9 +199,9 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
-    if is_block_free(rho, projectors, tol=1e-10):
-        cert = {"B": _block_pinch(R, partition), "weight": 1.0}
-        return MeasureResult(value=0.0, certificate=cert)
+    pinched = _block_pinch(R, partition)
+    if np.max(np.abs(R - pinched)) <= 1e-10:  # is_block_free's test
+        return MeasureResult(value=0.0, certificate={"B": pinched, "weight": 1.0})
     G = basis.gram
     problem, x0 = weight_barrier(R, G, partition.blocks)
     x, iters = barrier_descent(x0, problem.grad_hess, problem.parts)
@@ -218,8 +219,9 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     basis = projectors.basis
     partition = projectors.partition
     R = coefficients_of(rho, basis).entries
-    if is_block_free(rho, projectors, tol=1e-10):
-        return MeasureResult(value=0.0, certificate={"C": _block_pinch(R, partition)})
+    pinched = _block_pinch(R, partition)
+    if np.max(np.abs(R - pinched)) <= 1e-10:  # is_block_free's test
+        return MeasureResult(value=0.0, certificate={"C": pinched})
     G = basis.gram
     problem, x0 = robustness_barrier(R, G, partition.blocks)
     x, iters = barrier_descent(x0, problem.grad_hess, problem.parts)

@@ -79,7 +79,7 @@ class RoofOptions:
     the identity and the random starts only: the free-leaning start has d
     members and each of extra_starts as many as it has rows, so a search
     from one of them can return a larger ensemble than the cap.  restarts
-    is the most starts searched (fewer once one meets the roof's lower
+    is the most starts searched (none once a start meets the roof's lower
     bound); max_evals bounds one derivative-free search, run only by
     convex_roof with a caller's pure measure.  restarts, max_evals and a
     given cap must be at least 1 (ParameterOutOfRange otherwise).
@@ -279,11 +279,11 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     steps (a zero gradient stops every search at its start); otherwise one
     after another by a retracted pattern search on cost(X), at most
     opts.max_evals evaluations each.  Both move the isometry T itself, with
-    polar retraction, and accept only decreases, so the lowest search value
-    wins (exact ties to the earlier start); this stops, and no further
-    pattern search runs, once the winner is within ROOF_GAP of lower.
-    A result within ROOF_GAP of lower is converged, and iterations counts
-    every cost evaluation, the start checks and every search included.
+    polar retraction, and accept only decreases.  The lowest search wins
+    (exact ties to the earlier start), where every search within ROOF_GAP
+    of lower counts as lowest, so the earliest of those wins and is
+    converged.  iterations counts every cost evaluation, the start checks
+    and every search included.
     """
     _check_dims(rho.dimension, basis.dimension)
     B = weighted_eigvecs(rho)                   # d x r
@@ -305,8 +305,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     # free-leaning start: members aimed at the basis directions weighted by
     # the coefficient diagonal; the exact optimum whenever rho is free
     q = np.sum(np.abs(Cc) ** 2, axis=1)
-    if q.sum() > 1e-12:
-        starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
+    starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
     for extra in opts.extra_starts:
         starts.append(_retract(require_isometry_shape(extra, r)))
     while len(starts) < opts.restarts:
@@ -323,21 +322,16 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
             val, G = value_grad(Cc @ T.swapaxes(-1, -2))
             return val, G.swapaxes(-1, -2) @ Cc.conj()
 
-        found = _stacked_riemannian_descent(cost_grad, starts)
-        total += sum(evals for _, _, evals in found)
-        searches = ((T, val, 0, True) for T, val, _ in found)
+        found = [(T, val, evals, True)
+                 for T, val, evals in _stacked_riemannian_descent(cost_grad, starts)]
     else:
-        searches = (_pattern_search(lambda T: cost(Cc @ T.T), T0, opts.max_evals)
-                    for T0 in starts)
-    best_cost, best_T, best_conv = math.inf, None, False
-    for T, val, evals, conv in searches:
-        total += evals
-        if val < best_cost:
-            best_cost, best_T, best_conv = val, T, conv
-        if best_cost - lower <= ROOF_GAP:
-            best_conv = True
-            break
-    return result(best_T, best_cost, total, best_conv)
+        found = [_pattern_search(lambda T: cost(Cc @ T.T), T0, opts.max_evals)
+                 for T0 in starts]
+    total += sum(f[2] for f in found)
+    # every search within ROOF_GAP of lower ties at the clamp, so the
+    # earliest of them wins; min keeps the earliest of any exact tie
+    T, val, _, conv = min(found, key=lambda f: max(f[1], lower + ROOF_GAP))
+    return result(T, val, total, conv or val - lower <= ROOF_GAP)
 
 
 def _project_stiefel_tangent(T, G):
@@ -464,9 +458,9 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     cost of the returned decomposition, an upper bound on the true roof.
 
     pure_measure must be nonnegative, as every superposition measure is:
-    the search stops at a decomposition of cost within ROOF_GAP of 0.  It
-    needs no gradient: each start is searched by the derivative-free
-    retracted pattern search, at most opts.max_evals evaluations.
+    0 is its lower bound for the roof engine.  It needs no gradient: each
+    start is searched by the derivative-free retracted pattern search, at
+    most opts.max_evals evaluations.
     """
     V = basis.vectors
 

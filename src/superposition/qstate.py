@@ -8,6 +8,7 @@ from .basis import SuperpositionBasis, constant_overlap_basis, matrix_from_json,
 from .errors import (
     DimensionMismatch,
     InvalidCoefficients,
+    InvalidProbabilities,
     InvalidRank,
     NotIsometry,
     ParameterOutOfRange,
@@ -144,8 +145,11 @@ def is_free(rho: DensityMatrix, basis: SuperpositionBasis, tol: float = 1e-9) ->
 
 
 def free_state(basis: SuperpositionBasis, probs) -> DensityMatrix:
-    """The free state sum_i p_i |c_i><c_i|."""
+    """The free state sum_i p_i |c_i><c_i|.  probs must have shape (d,)
+    (InvalidProbabilities otherwise); DensityMatrix checks the state."""
     p = np.asarray(probs, dtype=float)
+    if p.shape != (basis.dimension,):
+        raise InvalidProbabilities(f"expected {basis.dimension} probabilities, got shape {p.shape}")
     rho = (basis.vectors * p) @ basis.vectors.conj().T
     return DensityMatrix(rho)
 

@@ -6,6 +6,7 @@ from superposition import (
     PureState,
     apply,
     apply_selective,
+    block_dephase,
     block_projectors,
     block_shift_channel,
     build_basis,
@@ -198,3 +199,29 @@ def test_channel_serialization():
     payload = chan.to_json()
     assert payload["metadata"]["trace_preserving"] is True
     assert len(payload["operators"]) == 2
+
+
+B2, B3 = constant_overlap_basis(2, 0.5), constant_overlap_basis(3, 0.5)
+CHAN3 = cyclic_preparation_channel(B3, [1 / 3] * 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply(CHAN3, random_density(2, 2, 0)),
+    lambda: apply_selective(CHAN3, random_density(2, 2, 0)),
+    lambda: block_dephase(random_density(2, 2, 0),
+                          block_projectors(B3, contiguous_partition(3, [1]))),
+    lambda: is_superposition_free(CHAN3, B2),
+], ids=["apply", "apply_selective", "block_dephase", "is_superposition_free"])
+def test_channel_boundary_rejects_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_free_kraus(B3, [FreeKrausSpec((0, 1), (1.0, 1.0))]),
+    lambda: build_free_kraus(B3, [FreeKrausSpec((0, 1, 3), (1.0, 1.0, 1.0))]),
+    lambda: compose(example1_channel(B2), CHAN3),
+], ids=["kraus_arity", "kraus_index_range", "compose"])
+def test_channel_error_contracts(call):
+    with pytest.raises(DimensionMismatch):
+        call()

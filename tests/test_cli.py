@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,3 +212,20 @@ def test_axioms_pass_and_fail(capsys):
     capsys.readouterr()
     assert main(["axioms", "--measure", "nope"]) == 2
     assert "unknown measure 'nope'" in capsys.readouterr().err
+
+
+def test_same_outputs_script_compares_checkouts(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  root / "scripts" / "same_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = [["gram", "--constant", "2", "0.5"], ["example1", "--x-steps", "2"]]
+    assert script.compare(root, root, commands) == []
+    # a root whose CLI prints something else differs on every command
+    fake = tmp_path / "src" / "superposition"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("print('other')\n")
+    assert script.compare(tmp_path, root, commands) == [
+        f"{' '.join(argv)}: stdout differs" for argv in commands]

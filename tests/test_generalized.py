@@ -286,3 +286,22 @@ def test_block_permutation_channel_validation():
     proj = block_projectors(basis, contiguous_partition(4, [1]))
     with pytest.raises(BlockSizeMismatch):
         block_permutation_channel(proj, [1, 0])  # blocks of different size
+
+
+B3 = constant_overlap_basis(3, 0.5)
+PROJ_1_2 = block_projectors(B3, contiguous_partition(3, [1]))  # blocks {0}, {1, 2}
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidPartition, lambda: block_projectors(B3, contiguous_partition(4, [2]))),
+    (BlockSizeMismatch,
+     lambda: generalized_free_channel(PROJ_1_2, [BlockKrausSpec((0,), (np.eye(1),))])),
+    (BlockSizeMismatch, lambda: generalized_free_channel(
+        PROJ_1_2, [BlockKrausSpec((0, 2), (np.eye(1), np.eye(2)))])),
+    (BlockSizeMismatch, lambda: block_shift_channel(PROJ_1_2, [0.5, 0.5])),
+    (BlockSizeMismatch, lambda: block_permutation_channel(PROJ_1_2, [0, 0])),
+], ids=["partition_size", "spec_arity", "block_map_range", "shift_unequal_blocks",
+        "not_a_permutation"])
+def test_block_error_contracts(error, call):
+    with pytest.raises(error):
+        call()

@@ -21,6 +21,8 @@ from superposition import (
 )
 from superposition.errors import (
     InvalidCoefficients,
+    InvalidProbabilities,
+    InvalidRank,
     NotIsometry,
     ParameterOutOfRange,
 )
@@ -141,3 +143,29 @@ def test_serialization_round_trip():
 def test_random_samplers_deterministic():
     assert np.array_equal(random_density(3, 2, 5).matrix, random_density(3, 2, 5).matrix)
     assert np.array_equal(random_pure(3, 5).vector, random_pure(3, 5).vector)
+
+
+def test_free_state_needs_one_probability_per_basis_vector():
+    basis = constant_overlap_basis(2, 0.5)
+    for probs in ([0.5], [1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(InvalidProbabilities):
+            free_state(basis, probs)
+
+
+B2 = constant_overlap_basis(2, 0.5)
+
+
+@pytest.mark.parametrize("error, call", [
+    (InvalidRank, lambda: random_density(2, 3, 0)),
+    (InvalidRank, lambda: random_density(2, 0, 0)),
+    (InvalidCoefficients, lambda: DensityMatrix(np.ones((2, 3)) / 2)),
+    (InvalidCoefficients, lambda: PureState(np.eye(2))),
+    (InvalidCoefficients,  # trace(R G) = 2
+     lambda: state_from_coefficients(CoefficientMatrix(np.eye(2), B2), B2)),
+    (InvalidCoefficients,  # trace(R G) = 1, eigenvalue -0.5
+     lambda: state_from_coefficients(CoefficientMatrix(np.diag([1.5, -0.5]), B2), B2)),
+], ids=["rank_above_d", "rank_zero", "not_square", "not_a_vector", "coefficient_trace",
+        "coefficients_not_psd"])
+def test_qstate_error_contracts(error, call):
+    with pytest.raises(error):
+        call()

@@ -26,7 +26,13 @@ from superposition.measures import (
     _rel_ent_value_grad,
     ensemble_warm_start,
 )
-from superposition.qstate import DensityMatrix, PureState, random_isometry, weighted_eigvecs
+from superposition.qstate import (
+    DensityMatrix,
+    PureState,
+    ensemble_from_isometry,
+    random_isometry,
+    weighted_eigvecs,
+)
 
 FAST = RoofOptions(ensemble_size_cap=2, restarts=6)
 # the axiom campaigns' roof settings: cap r, 8 restarts
@@ -277,3 +283,36 @@ def test_rank_roof_matches_weight_on_qubit():
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(restarts=4, max_evals=800)
     assert m_rank(rho, basis, opts).value >= m_weight(rho, basis).value - 1e-6
+
+
+@pytest.mark.parametrize("case", ["within_gap", "tie_outside_gap"])
+def test_roof_reports_earliest_search_within_gap(monkeypatch, case):
+    # the roof is well above m_l1 here, so no start meets the bound and all
+    # eight starts are searched; two search results are then overwritten
+    rho, basis = random_density(3, 3, 0), constant_overlap_basis(3, 0.5)
+    lower = m_l1(rho, basis).value
+    search = measures._stacked_riemannian_descent
+    searched = []
+
+    def rigged(value_grad, starts):
+        found = search(value_grad, starts)
+        if case == "within_gap":  # both within ROOF_GAP: the earlier wins
+            rigged_values = {2: lower + 8e-10, 4: lower + 1e-10}
+        else:  # two equal lowest values outside the gap: the earlier wins
+            low = 0.5 * (lower + min(val for _, val, _ in found))
+            rigged_values = {2: low, 4: low}
+        found = [(T, rigged_values.get(i, val), evals)
+                 for i, (T, val, evals) in enumerate(found)]
+        searched.append(found)
+        return found
+
+    monkeypatch.setattr(measures, "_stacked_riemannian_descent", rigged)
+    res = m_l1_roof(rho, basis, CAMPAIGN)
+    (found,) = searched
+    T, val, _ = found[2]
+    assert res.value == val and res.converged
+    assert res.iterations == len(found) + sum(evals for _, _, evals in found)
+    want = ensemble_from_isometry(rho, T).members
+    assert len(res.certificate.members) == len(want)
+    for (p, phi), (q, psi) in zip(res.certificate.members, want):
+        assert p == q and np.array_equal(phi.vector, psi.vector)
