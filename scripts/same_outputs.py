@@ -9,10 +9,13 @@ CLI commands of cli_commands (gram, every CLI measure on a constant-overlap
 and a random complex basis, example1, and the axiom campaign of every
 measure at d = 2, 3) with PYTHONPATH=<root>/src and one BLAS thread, and
 compares exit code and stdout byte for byte.  It also compares
-(repr(value), iterations, converged) of every roof_search item of
-<root>/bench/workloads.py at seeds 7, 301 and 901.  The two roots run side
-by side.  Each mismatch is printed; the exit code is 1 if there is any,
-else 0.
+(repr(value), iterations, converged) and the certificate (each member's
+probability and vector, by repr) of every roof_search item of
+<root>/bench/workloads.py at seeds 7, 301 and 901.  Each seed's items run
+twice in one process, so that a result that depends on what an earlier call
+left behind (a stale or mutated cached start) shows up as a mismatch.  The
+two roots run side by side.  Each mismatch is printed; the exit code is 1
+if there is any, else 0.
 """
 
 import json
@@ -34,21 +37,24 @@ from superposition.harness import MEASURES  # noqa: E402
 ROOF_SEEDS = (7, 301, 901)
 
 # Run in a child process with <root>/src and <root>/bench on sys.path: one
-# line per roof_search item, MeasureResult items as (value, iterations,
-# converged) and the example1 item as (exit code, stdout).
+# line per roof_search item and pass, MeasureResult items as (value,
+# iterations, converged, [(probability, vector)] of the certificate) and the
+# example1 item as (exit code, stdout).
 ROOF_DUMP = """
 import sys, tempfile
 from pathlib import Path
 import workloads
 for seed in map(int, sys.argv[1:]):
-    with tempfile.TemporaryDirectory() as tmp:
-        for item in workloads.roof_search(seed, Path(tmp)):
-            out = item.call()
-            if isinstance(out, workloads.CliRun):
-                fields = (out.code, out.out)
-            else:
-                fields = (repr(out.value), out.iterations, out.converged)
-            print(repr((seed, item.name) + fields))
+    for run in (1, 2):
+        with tempfile.TemporaryDirectory() as tmp:
+            for item in workloads.roof_search(seed, Path(tmp)):
+                out = item.call()
+                if isinstance(out, workloads.CliRun):
+                    fields = (out.code, out.out)
+                else:
+                    members = [(p, phi.vector.tolist()) for p, phi in out.certificate.members]
+                    fields = (repr(out.value), out.iterations, out.converged, members)
+                print(repr((seed, run, item.name) + fields))
 """
 
 

@@ -161,6 +161,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (SuperpositionError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

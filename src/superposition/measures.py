@@ -7,6 +7,7 @@ weights for the relative-entropy measure, mixing data for robustness and
 weight, the best ensemble found for convex roofs).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -81,7 +82,9 @@ class RoofOptions:
     from one of them can return a larger ensemble than the cap.  restarts
     is the most starts searched (none once a start meets the roof's lower
     bound); max_evals bounds one derivative-free search, run only by
-    convex_roof with a caller's pure measure.  restarts, max_evals and a
+    convex_roof with a caller's pure measure.  seed fixes the random starts:
+    start k is random_isometry(n, r, seed * 7919 + k), which depends only on
+    (n, r, seed) and is built once per process.  restarts, max_evals and a
     given cap must be at least 1 (ParameterOutOfRange otherwise).
     """
 
@@ -260,6 +263,14 @@ def _pattern_search(fun, T0, budget):
     return chart(x), best, evals, step <= STEP_MIN
 
 
+@functools.lru_cache(maxsize=1024)
+def _seeded_isometry(n: int, r: int, seed: int) -> np.ndarray:
+    """random_isometry(n, r, seed), built once per process and read-only."""
+    T = random_isometry(n, r, seed)
+    T.flags.writeable = False
+    return T
+
+
 def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
                  opts: RoofOptions, cost=None, value_grad=None,
                  lower: float = 0.0) -> MeasureResult:
@@ -267,13 +278,17 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
 
     Ensembles are isometries T applied to the eigen-decomposition: member m
     has oblique coefficients X[:, m] of X = Cc @ T.T and raw vector
-    V @ X[:, m].  The starts form one list (identity, free-leaning,
-    opts.extra_starts, then seeded random isometries).  lower is a certified
-    lower bound on the roof.  If the cost of some start is within ROOF_GAP
-    of it, the cheapest such start is returned unsearched.  Otherwise the
-    starts are searched locally on the cost: all at once, one stack per
-    start shape, by Riemannian descent when value_grad(X) gives the cost and
-    a gradient G for each of a stack of X, either the real gradient
+    V @ X[:, m].  cost(X) gives the cost of X or of each matrix of a stack
+    of them.  The starts form one list (identity, free-leaning,
+    opts.extra_starts, then seeded random isometries, which depend only on
+    (n, r, opts.seed) and are built once per process).  Their costs are
+    checked with one cost call per start shape, on the stack of that
+    shape's X.  lower is a certified lower bound on the roof.  If the cost
+    of some start is within ROOF_GAP of it, the cheapest such start is
+    returned unsearched.  Otherwise the starts are searched locally on the
+    cost: all at once, one stack per start shape, by Riemannian descent when
+    value_grad(X) gives the cost and a gradient G for each of a stack of X
+    (cost then defaults to its value), either the real gradient
     df/dRe X + i df/dIm X (_l1_value_grad) or half of it, df/dconj(X)
     (_rel_ent_value_grad), since the factor only rescales the descent's
     steps (a zero gradient stops every search at its start); otherwise one
@@ -282,15 +297,15 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     polar retraction, and accept only decreases.  The lowest search wins
     (exact ties to the earlier start), where every search within ROOF_GAP
     of lower counts as lowest, so the earliest of those wins and is
-    converged.  iterations counts every cost evaluation, the start checks
-    and every search included.
+    converged.  iterations counts every cost evaluation: one per start for
+    the start checks, then every search's.
     """
     _check_dims(rho.dimension, basis.dimension)
     B = weighted_eigvecs(rho)                   # d x r
     Cc = basis.biorthogonal_duals.conj().T @ B  # X = Cc @ T.T
     r = B.shape[1]
     n = max(opts.ensemble_size_cap or r * r, r)
-    cost = cost or (lambda X: float(value_grad(X)[0]))
+    cost = cost or (lambda X: value_grad(X)[0])
 
     def result(T, value, total, conv):
         return MeasureResult(value=max(value, 0.0),
@@ -299,7 +314,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
 
     if r == 1:
         T = np.eye(1, 1, dtype=complex)
-        return result(T, cost(Cc @ T.T), 1, True)
+        return result(T, float(cost(Cc @ T.T)), 1, True)
 
     starts = [np.eye(n, r, dtype=complex)]
     # free-leaning start: members aimed at the basis directions weighted by
@@ -309,13 +324,16 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     for extra in opts.extra_starts:
         starts.append(_retract(require_isometry_shape(extra, r)))
     while len(starts) < opts.restarts:
-        starts.append(random_isometry(n, r, opts.seed * 7919 + len(starts)))
+        starts.append(_seeded_isometry(n, r, opts.seed * 7919 + len(starts)))
 
-    start_costs = [cost(Cc @ T0.T) for T0 in starts]
+    start_costs = np.empty(len(starts))
+    for shape in dict.fromkeys(T0.shape for T0 in starts):
+        idx = [i for i, T0 in enumerate(starts) if T0.shape == shape]
+        start_costs[idx] = cost(Cc @ np.stack([starts[i] for i in idx]).swapaxes(-1, -2))
     total = len(starts)
     cheapest = min(range(len(starts)), key=start_costs.__getitem__)
     if start_costs[cheapest] - lower <= ROOF_GAP:
-        return result(starts[cheapest], start_costs[cheapest], total, True)
+        return result(starts[cheapest], float(start_costs[cheapest]), total, True)
 
     if value_grad is not None:
         def cost_grad(T):
@@ -325,7 +343,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
         found = [(T, val, evals, True)
                  for T, val, evals in _stacked_riemannian_descent(cost_grad, starts)]
     else:
-        found = [_pattern_search(lambda T: cost(Cc @ T.T), T0, opts.max_evals)
+        found = [_pattern_search(lambda T: float(cost(Cc @ T.T)), T0, opts.max_evals)
                  for T0 in starts]
     total += sum(f[2] for f in found)
     # every search within ROOF_GAP of lower ties at the clamp, so the
@@ -466,13 +484,12 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
 
     def cost(X):
         raw = V @ X
-        total = 0.0
-        for m in range(raw.shape[1]):
-            p = float(np.sum(np.abs(raw[:, m]) ** 2))
-            if p < MEMBER_TOL:
-                continue
-            phi = PureState(raw[:, m] / math.sqrt(p))
-            total += p * pure_measure(phi)
+        total = np.zeros(raw.shape[:-2])
+        for k in np.ndindex(total.shape):
+            for v in raw[k].T:
+                p = float(np.sum(np.abs(v) ** 2))
+                if p >= MEMBER_TOL:
+                    total[k] += p * pure_measure(PureState(v / math.sqrt(p)))
         return total
 
     return _roof_engine(rho, basis, opts, cost=cost)

@@ -189,6 +189,20 @@ def test_measure_not_converged_exit_3(files, capsys, monkeypatch):
     assert "did not converge" in captured.err
 
 
+def test_solver_linalg_error_exits_3(files, capsys, monkeypatch):
+    # LinAlgError is a ValueError, yet a numerical failure, not an input error
+    state, bas = files
+
+    def failing(rho, basis):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(MEASURES, "l1", dataclasses.replace(MEASURES["l1"], fn=failing))
+    assert main(["measure", "--state", state, "--basis", bas, "--measure", "l1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: SVD did not converge" in captured.err
+
+
 def test_roof_restarts_below_one_exit_2(files, capsys):
     state, bas = files
     for argv in (["measure", "--state", state, "--basis", bas, "--measure", "l1_roof",

@@ -23,7 +23,9 @@ from superposition.errors import NotIsometry, ParameterOutOfRange
 from superposition.measures import (
     ROOF_GAP,
     _l1_value_grad,
+    _rank_value_grad,
     _rel_ent_value_grad,
+    _seeded_isometry,
     ensemble_warm_start,
 )
 from superposition.qstate import (
@@ -316,3 +318,70 @@ def test_roof_reports_earliest_search_within_gap(monkeypatch, case):
     assert len(res.certificate.members) == len(want)
     for (p, phi), (q, psi) in zip(res.certificate.members, want):
         assert p == q and np.array_equal(phi.vector, psi.vector)
+
+
+# each roof's value_grad on a basis
+VALUE_GRADS = {
+    "l1": lambda basis: _l1_value_grad,
+    "rank": lambda basis: lambda X: _rank_value_grad(X, basis.vectors, 1e-6),
+    "rel_ent": lambda basis: lambda X: _rel_ent_value_grad(X, basis),
+}
+
+
+@pytest.mark.parametrize("cost", sorted(VALUE_GRADS))
+@pytest.mark.parametrize("d, cap", [(2, 1), (2, None), (3, 1), (3, None)])
+def test_stacked_start_checks_equal_per_start_costs(monkeypatch, cost, d, cap):
+    # the start checks are one cost call per start shape, on the stack of
+    # that shape's X, and give exactly the per-start costs; rank 2 at d = 3
+    # puts the 3 x 2 free-leaning start beside the 2 x 2 (cap r) or 4 x 2
+    # (cap r^2) others, and cap r^2 does so at d = 2
+    rho, basis = random_density(d, 2, 3), constant_overlap_basis(d, 0.5)
+    opts = RoofOptions(ensemble_size_cap=cap, **CAMPAIGN_ROOF_OPTS)
+    value_grad = VALUE_GRADS[cost](basis)
+    calls, searched = [], []
+
+    def recording(X):
+        calls.append(value_grad(X))
+        return calls[-1]
+
+    def no_search(value_grad, starts):  # records the starts, searches none
+        searched.append(starts)
+        return [(T0, 1.0, 0) for T0 in starts]
+
+    # lower = -1 keeps every start check short of the bound
+    monkeypatch.setattr(measures, "_stacked_riemannian_descent", no_search)
+    measures._roof_engine(rho, basis, opts, value_grad=recording, lower=-1.0)
+    (starts,) = searched
+    Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
+    shapes = list(dict.fromkeys(T0.shape for T0 in starts))
+    assert len(shapes) == (1 if (d, cap) == (2, 1) else 2)
+    assert len(calls) == len(shapes)
+    for shape, (val, _) in zip(shapes, calls):
+        per_start = [float(value_grad(Cc @ T0.T)[0]) for T0 in starts if T0.shape == shape]
+        assert val.tolist() == per_start
+
+
+def test_seeded_starts_are_cached_read_only():
+    T = _seeded_isometry(4, 2, 7919 + 3)
+    assert T is _seeded_isometry(4, 2, 7919 + 3)
+    want = random_isometry(4, 2, 7919 + 3)
+    assert T.dtype == want.dtype and np.array_equal(T, want)
+    with pytest.raises(ValueError):
+        T[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("roof", [m_l1_roof, m_rank])
+def test_cached_starts_give_the_same_roof_cold_and_warm(roof):
+    rho, basis = random_density(3, 3, 4), constant_overlap_basis(3, 0.5)
+
+    def run():
+        res = roof(rho, basis, CAMPAIGN)
+        return (res.value, res.iterations, res.converged,
+                [(p, phi.vector.tolist()) for p, phi in res.certificate.members])
+
+    _seeded_isometry.cache_clear()
+    cold = run()
+    assert _seeded_isometry.cache_info().misses > 0
+    assert run() == cold
+    _seeded_isometry.cache_clear()
+    assert run() == cold
