@@ -6,11 +6,12 @@ Usage: same_outputs.py PARENT_ROOT
 PARENT_ROOT is a checkout of the parent commit, for example one made with
 `git worktree add /tmp/parent HEAD~1`.  For each root the script runs the
 CLI commands of cli_commands (gram, every CLI measure on a constant-overlap
-and a random complex basis, example1, and the axiom campaign of every
-measure at d = 2, 3) with PYTHONPATH=<root>/src and one BLAS thread, and
-compares exit code and stdout byte for byte.  It also compares
-(repr(value), iterations, converged) and the certificate (each member's
-probability and vector, by repr) of every roof_search item of
+and a random complex basis, example1, the axiom campaign of every measure
+at d = 2, 3, and the cli_campaign input `measure rel_ent d=4 #2` of seed 4,
+whose solve runs out of iterations and exits 3) with PYTHONPATH=<root>/src
+and one BLAS thread, and compares exit code and stdout byte for byte.  It
+also compares (repr(value), iterations, converged) and the certificate (each
+member's probability and vector, by repr) of every roof_search item of
 <root>/bench/workloads.py at seeds 7, 301 and 901.  Each seed's items run
 twice in one process, so that a result that depends on what an earlier call
 left behind (a stale or mutated cached start) shows up as a mismatch.  The
@@ -104,7 +105,25 @@ def compare_roofs(parent: Path, child: Path) -> list:
     return mismatches
 
 
-def cli_commands(state: str, basis: str) -> list:
+def _random_basis(d: int, seed: int):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return build_basis(V / np.linalg.norm(V, axis=0))
+
+
+def write_inputs(tmp: Path) -> dict:
+    """JSON files of the CLI inputs: a state and a basis at d = 3, and the
+    state and rel_ent basis of bench/workloads.cli_campaign(4, ...)'s item
+    `measure rel_ent d=4 #2`, built from the same seeds."""
+    seeds = [int(s) for s in np.random.SeedSequence(4).generate_state(256)]
+    inputs = {"state": random_density(3, 3, 7), "basis": _random_basis(3, 11),
+              "state4": random_density(4, 4, seeds[10]), "basis4": _random_basis(4, seeds[12])}
+    for name, obj in inputs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(obj.to_json()))
+    return {name: str(tmp / f"{name}.json") for name in inputs}
+
+
+def cli_commands(state: str, basis: str, state4: str, basis4: str) -> list:
     names = sorted(set(MEASURES) - {"broken_l1"})
     bases = (["--constant", "3", "0.5"], ["--basis", basis])
     return ([["gram", *b] for b in bases]
@@ -112,7 +131,8 @@ def cli_commands(state: str, basis: str) -> list:
                for b in bases for name in names]
             + [["example1", "--x-steps", "5"]]
             + [["axioms", "--measure", name, "--d", str(d), "--trials", "4", "--seed", "3"]
-               for name in MEASURES for d in (2, 3)])
+               for name in MEASURES for d in (2, 3)]
+            + [["measure", "--state", state4, "--basis", basis4, "--measure", "rel_ent"]])
 
 
 def main(argv) -> int:
@@ -121,12 +141,7 @@ def main(argv) -> int:
         return 2
     parent = Path(argv[0]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        state, basis = Path(tmp) / "state.json", Path(tmp) / "basis.json"
-        state.write_text(json.dumps(random_density(3, 3, 7).to_json()))
-        rng = np.random.default_rng(11)
-        V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        basis.write_text(json.dumps(build_basis(V / np.linalg.norm(V, axis=0)).to_json()))
-        commands = cli_commands(str(state), str(basis))
+        commands = cli_commands(**write_inputs(Path(tmp)))
         mismatches = compare(parent, ROOT, commands) + compare_roofs(parent, ROOT)
     for line in mismatches:
         print(line)

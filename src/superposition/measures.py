@@ -160,24 +160,25 @@ def m_rel_ent(rho: DensityMatrix, basis: SuperpositionBasis,
     lr = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
     const = float(np.sum(lr[lr > SUPPORT_TOL] * np.log(lr[lr > SUPPORT_TOL])))
 
-    def f_grad(q):
-        sigma = (V * q) @ V.conj().T
-        s, U = np.linalg.eigh(sigma)
+    def values(Q):
+        s, U = np.linalg.eigh((V * Q[:, None, :]) @ V.conj().T)
         s = np.clip(s, 1e-300, None)
-        A = U.conj().T @ rho.matrix @ U
-        val = const - float(np.sum(np.diag(A).real * np.log(s)))
-        # Frechet derivative of log via the Loewner matrix
+        A = U.conj().swapaxes(-1, -2) @ rho.matrix @ U
         ls = np.log(s)
+        return const - np.sum(A.diagonal(0, -2, -1).real * ls, axis=-1), (s, U, A, ls)
+
+    def gradient(state, j):
+        # Frechet derivative of log via the Loewner matrix
+        s, U, A, ls = (x[j] for x in state)
         diff = s[:, None] - s[None, :]
         L = np.where(np.abs(diff) > 1e-14,
                      (ls[:, None] - ls[None, :]) / np.where(np.abs(diff) > 1e-14, diff, 1.0),
                      1.0 / s[:, None])
         B = U.conj().T @ V
         C = L * A.T
-        g = -np.einsum("ai,ab,bi->i", B, C, B.conj()).real
-        return val, g
+        return -np.einsum("ai,ab,bi->i", B, C, B.conj()).real
 
-    q, val, iters, converged = mirror_descent_simplex(f_grad, d, max_iter=max_iter)
+    q, val, iters, converged = mirror_descent_simplex(values, gradient, d, max_iter=max_iter)
     return MeasureResult(value=max(val / LN2, 0.0), certificate=q,
                          iterations=iters, converged=converged)
 

@@ -19,7 +19,9 @@ Newton steps at the last t.  This brings the duality gap well below the
 test tolerances for the d <= 8 instances this package targets (Boyd &
 Vandenberghe, Convex Optimization, sections 11.3-11.5).  The relative-entropy
 projection onto the free simplex uses exponentiated-gradient (mirror)
-descent.
+descent, ``mirror_descent_simplex``: it evaluates the objective on stacks of
+points, takes the gradient only where it steps, and tries the step sizes of
+its backtracking in pairs, in the order it would try them one at a time.
 """
 
 import numpy as np
@@ -261,33 +263,46 @@ def min_dominating_diagonal(R: np.ndarray):
     return barrier_descent(y, problem.grad_hess, problem.parts)
 
 
-def mirror_descent_simplex(f_grad, d: int, max_iter: int = 2000):
-    """Minimize a smooth convex function over the probability simplex by
-    exponentiated-gradient descent with backtracking.
+def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000):
+    """Minimize a smooth convex function f over the probability simplex by
+    exponentiated-gradient descent with backtracking (Beck & Teboulle, Oper.
+    Res. Lett. 31, 2003).
 
-    f_grad(q) returns (value, gradient).  Returns (q, value, iterations,
-    converged).  When no step size decreases the value, converged says
-    whether the Frank-Wolfe gap <g, q> - min g is at most MIRROR_GAP.
+    values(Q) evaluates f at each row of a (k, d) stack of simplex points and
+    returns (their values, state); gradient(state, j) returns the gradient of
+    f at row j of the stack that state came from, and is called only at the
+    points where a step is taken.  Each backtracking round tries the step
+    sizes eta and eta/2 from the same point in one values call and takes the
+    first that does not raise the value (eta alone once eta/2 <= 1e-14), so
+    the step sizes are tried in the same order as one at a time.  Returns
+    (q, value, iterations, converged).  When no step size decreases the
+    value, converged says whether the Frank-Wolfe gap <g, q> - min g is at
+    most MIRROR_GAP.
     """
     q = np.full(d, 1.0 / d)
-    val, g = f_grad(q)
+    vals, state = values(q[None])
+    val, row = float(vals[0]), 0
     eta = 1.0
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
+        g = gradient(state, row)
         step = g - g.min()  # shift for numerical stability of exp
         while eta > 1e-14:
-            trial = q * np.exp(-eta * step)
-            trial = np.maximum(trial, MIRROR_FLOOR)
-            trial /= trial.sum()
-            tval, tg = f_grad(trial)
-            if tval <= val + 1e-15:
+            etas = [eta, 0.5 * eta] if 0.5 * eta > 1e-14 else [eta]
+            trials = np.maximum(q * np.exp(-np.array(etas)[:, None] * step), MIRROR_FLOOR)
+            trials /= trials.sum(axis=1, keepdims=True)
+            tvals, state = values(trials)
+            taken = [j for j, v in enumerate(tvals.tolist()) if v <= val + 1e-15]
+            if taken:
                 break
-            eta *= 0.5
+            eta = 0.5 * etas[-1]
         else:
             return q, val, it, float(g @ q - g.min()) <= MIRROR_GAP
+        row = taken[0]
+        eta, tval = etas[row], float(tvals[row])
         improvement = val - tval
-        q, val, g = trial, tval, tg
+        q, val = trials[row], tval
         eta = min(eta * 2.0, 1e3)
         if improvement < MIRROR_TOL:
             stall += 1

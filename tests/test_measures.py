@@ -38,6 +38,7 @@ from superposition import (
     rho_x,
     state_from_coefficients,
 )
+from superposition import measures
 from superposition.basis import matrix_from_json
 from superposition.errors import (
     ComplexBasis,
@@ -46,6 +47,7 @@ from superposition.errors import (
     ParameterOutOfRange,
 )
 from superposition.qstate import CoefficientMatrix, PureState, random_pure
+from superposition.solvers import MIRROR_FLOOR, MIRROR_GAP, MIRROR_TOL, mirror_descent_simplex
 
 BASIS2 = constant_overlap_basis(2, 0.5)
 
@@ -117,6 +119,148 @@ def test_rel_ent_converged_when_line_search_stops_at_the_optimum():
     V = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     res = m_rel_ent(random_density(8, 8, 1073), build_basis(V / np.linalg.norm(V, axis=0)))
     assert res.converged
+
+
+# The mirror descent as it was when it tried one step size per value and
+# gradient evaluation, and m_rel_ent's value-and-gradient of that time: the
+# reference that the paired backtracking must reproduce bit for bit.
+def _one_trial_mirror_descent(f_grad, d, max_iter=2000):
+    q = np.full(d, 1.0 / d)
+    val, g = f_grad(q)
+    eta = 1.0
+    stall = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        step = g - g.min()
+        while eta > 1e-14:
+            trial = q * np.exp(-eta * step)
+            trial = np.maximum(trial, MIRROR_FLOOR)
+            trial /= trial.sum()
+            tval, tg = f_grad(trial)
+            if tval <= val + 1e-15:
+                break
+            eta *= 0.5
+        else:
+            return q, val, it, float(g @ q - g.min()) <= MIRROR_GAP
+        improvement = val - tval
+        q, val, g = trial, tval, tg
+        eta = min(eta * 2.0, 1e3)
+        if improvement < MIRROR_TOL:
+            stall += 1
+            if stall >= 5:
+                return q, val, it, True
+        else:
+            stall = 0
+    return q, val, it, stall >= 5
+
+
+def _one_trial_rel_ent_f_grad(rho, basis):
+    V = basis.vectors
+    lr = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
+    const = float(np.sum(lr[lr > 1e-10] * np.log(lr[lr > 1e-10])))
+
+    def f_grad(q):
+        f_grad.calls += 1
+        s, U = np.linalg.eigh((V * q) @ V.conj().T)
+        s = np.clip(s, 1e-300, None)
+        A = U.conj().T @ rho.matrix @ U
+        val = const - float(np.sum(np.diag(A).real * np.log(s)))
+        ls = np.log(s)
+        diff = s[:, None] - s[None, :]
+        L = np.where(np.abs(diff) > 1e-14,
+                     (ls[:, None] - ls[None, :]) / np.where(np.abs(diff) > 1e-14, diff, 1.0),
+                     1.0 / s[:, None])
+        B = U.conj().T @ V
+        g = -np.einsum("ai,ab,bi->i", B, L * A.T, B.conj()).real
+        return val, g
+
+    f_grad.calls = 0
+    return f_grad
+
+
+def _random_complex_basis(d, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return build_basis(V / np.linalg.norm(V, axis=0))
+
+
+def _rel_ent_grid():
+    for d in (2, 3):
+        for mu in (1.0 / (1 - d) + 1e-3, 0.5, 1.0 - 1e-3):
+            basis = constant_overlap_basis(d, mu)
+            for seed in (0, 1):
+                yield random_density(d, d, seed), basis
+                yield random_pure(d, seed).density(), basis
+    for d in (4, 6, 8):
+        for seed in (0, 1):
+            yield random_density(d, d, 100 + seed), _random_complex_basis(d, 200 + seed)
+    yield random_pure(2, 20).density(), constant_overlap_basis(2, 0.5)  # all 2000 iterations
+    yield random_density(8, 8, 1073), _random_complex_basis(8, 5073)  # no step decreases
+
+
+def test_rel_ent_equals_one_trial_at_a_time_reference():
+    ran_out = stopped = 0
+    for rho, basis in _rel_ent_grid():
+        res = m_rel_ent(rho, basis)
+        q, val, it, converged = _one_trial_mirror_descent(
+            _one_trial_rel_ent_f_grad(rho, basis), basis.dimension)
+        assert res.value == max(val / math.log(2.0), 0.0)
+        assert np.array_equal(res.certificate, q)
+        assert (res.iterations, res.converged) == (it, converged)
+        ran_out += it == 2000
+        stopped += converged and it < 2000
+    assert ran_out >= 1 and stopped >= 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0])
+def test_mirror_descent_reaches_closed_form_minimizer(scale):
+    # scale * sum_i q_i log(q_i / p_i) is least at q = p; at scale 3 the
+    # first step sizes overshoot, so the backtracking is exercised
+    p = np.random.default_rng(17).dirichlet(np.ones(5))
+
+    def value(q):
+        return scale * float(np.sum(q * np.log(q / p)))
+
+    def grad(q):
+        return scale * (np.log(q / p) + 1.0)
+
+    def values(Q):
+        return np.array([value(q) for q in Q]), Q
+
+    q, val, it, converged = mirror_descent_simplex(values, lambda Q, j: grad(Q[j]), 5)
+    assert converged and np.abs(q - p).max() < 1e-6
+    ref_q, ref_val, ref_it, ref_converged = _one_trial_mirror_descent(
+        lambda q: (value(q), grad(q)), 5)
+    assert np.array_equal(q, ref_q)
+    assert (val, it, converged) == (ref_val, ref_it, ref_converged)
+
+
+def test_rel_ent_stacks_its_eigh_calls(monkeypatch):
+    eigh = np.linalg.eigh
+    counts = {"eigh": 0, "mirror": 0}
+
+    def counting_eigh(a, *args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counting_mirror(*args, **kwargs):
+        counts["mirror"] += 1
+        return mirror_descent_simplex(*args, **kwargs)
+
+    cases = [(random_density(d, d, 40 + d), _random_complex_basis(d, 50 + d)) for d in (2, 3, 4)]
+    f_grad_calls = 0
+    for rho, basis in cases:
+        f_grad = _one_trial_rel_ent_f_grad(rho, basis)
+        _one_trial_mirror_descent(f_grad, basis.dimension)
+        f_grad_calls += f_grad.calls
+    # the kernel is reached as np.linalg.eigh and the solver as measures'
+    # module global, where the benchmark's tracer wraps them
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(measures, "mirror_descent_simplex", counting_mirror)
+    for rho, basis in cases:
+        m_rel_ent(rho, basis)
+    assert counts["mirror"] == len(cases)
+    assert 1 <= counts["eigh"] < 0.6 * f_grad_calls
 
 
 def test_robustness_certificate():
