@@ -9,16 +9,18 @@ CLI commands of cli_commands (gram, every CLI measure on a constant-overlap
 and a random complex basis, example1, the axiom campaign of every measure
 at d = 2, 3, and the cli_campaign input `measure rel_ent d=4 #2` of seed 4,
 whose solve runs out of iterations and exits 3) with PYTHONPATH=<root>/src
-and one BLAS thread, and compares exit code and stdout byte for byte.  It
-also compares (repr(value), iterations, converged) and the certificate (each
-member's probability and vector, by repr) of every roof_search item of
+and one BLAS thread, and compares exit code and stdout byte for byte,
+naming the top-level keys that differ when both stdouts are JSON objects.
+It also compares (repr(value), iterations, converged) and the certificate
+(each member's probability and vector, by repr) of every roof_search item of
 <root>/bench/workloads.py at seeds 7, 301 and 901.  Each seed's items run
 twice in one process, so that a result that depends on what an earlier call
 left behind (a stale or mutated cached start) shows up as a mismatch.  The
-two roots run side by side.  Each mismatch is printed; the exit code is 1
-if there is any, else 0.
+two roots run side by side.  Each mismatch is printed with the fields that
+differ; the exit code is 1 if there is any, else 0.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -36,6 +38,9 @@ from superposition import build_basis, random_density  # noqa: E402
 from superposition.harness import MEASURES  # noqa: E402
 
 ROOF_SEEDS = (7, 301, 901)
+# the fields of a roof dump line after (seed, pass, item name)
+ROOF_FIELDS = ("value", "iterations", "converged", "certificate")
+CLI_FIELDS = ("exit code", "stdout")
 
 # Run in a child process with <root>/src and <root>/bench on sys.path: one
 # line per roof_search item and pass, MeasureResult items as (value,
@@ -85,9 +90,22 @@ def compare(parent: Path, child: Path, commands) -> list:
     for argv in commands:
         (code_a, out_a), (code_b, out_b) = _both(run_cli, parent, child, argv)
         if code_a != code_b or out_a != out_b:
-            what = "stdout differs" if code_a == code_b else f"exit {code_a} vs {code_b}"
+            what = stdout_diff(out_a, out_b) if code_a == code_b else f"exit {code_a} vs {code_b}"
             mismatches.append(f"{' '.join(argv)}: {what}")
     return mismatches
+
+
+def stdout_diff(out_a: str, out_b: str) -> str:
+    """How two different stdouts differ: the top-level keys whose values
+    differ when both are JSON objects."""
+    try:
+        a, b = json.loads(out_a), json.loads(out_b)
+    except json.JSONDecodeError:
+        return "stdout differs"
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return "stdout differs"
+    keys = [k for k in dict.fromkeys([*a, *b]) if k not in a or k not in b or a[k] != b[k]]
+    return f"stdout differs in {', '.join(map(repr, keys)) or 'formatting'}"
 
 
 def roof_outputs(root: Path) -> list:
@@ -97,9 +115,19 @@ def roof_outputs(root: Path) -> list:
     return proc.stdout.splitlines()
 
 
+def roof_diff(x: str, y: str) -> str:
+    """The item of two different roof dump lines and the fields that differ."""
+    a, b = ast.literal_eval(x), ast.literal_eval(y)
+    if a[:3] != b[:3]:
+        return f"roof_search: item {a[:3]} vs {b[:3]}"
+    names = ROOF_FIELDS if len(a) == 3 + len(ROOF_FIELDS) else CLI_FIELDS
+    return f"roof_search {a[:3]}: differs in " + ", ".join(
+        name for name, u, v in zip(names, a[3:], b[3:]) if u != v)
+
+
 def compare_roofs(parent: Path, child: Path) -> list:
     a, b = _both(roof_outputs, parent, child)
-    mismatches = [f"roof_search: {x} vs {y}" for x, y in zip(a, b) if x != y]
+    mismatches = [roof_diff(x, y) for x, y in zip(a, b) if x != y]
     if len(a) != len(b):
         mismatches.append(f"roof_search: {len(a)} vs {len(b)} items")
     return mismatches

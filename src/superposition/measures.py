@@ -76,16 +76,17 @@ def _jsonable(obj):
 class RoofOptions:
     """Knobs for the ensemble-decomposition search.
 
-    ensemble_size_cap defaults to rank squared.  It sets the member count of
-    the identity and the random starts only: the free-leaning start has d
-    members and each of extra_starts as many as it has rows, so a search
-    from one of them can return a larger ensemble than the cap.  restarts
-    is the most starts searched (none once a start meets the roof's lower
-    bound); max_evals bounds one derivative-free search, run only by
-    convex_roof with a caller's pure measure.  seed fixes the random starts:
-    start k is random_isometry(n, r, seed * 7919 + k), which depends only on
-    (n, r, seed) and is built once per process.  restarts, max_evals and a
-    given cap must be at least 1 (ParameterOutOfRange otherwise).
+    The starts are the identity, the free-leaning start, every extra_starts
+    entry, then seeded random starts up to restarts in all: there are
+    max(restarts, 2 + len(extra_starts)), so restarts=1 gives two, and none
+    is searched once one meets the roof's lower bound.  ensemble_size_cap
+    (default rank squared) sets the member count of the identity and the
+    random starts only: the free-leaning start has d members and an extra
+    start as many as its rows, so the result can have more than the cap.
+    max_evals bounds one derivative-free search, run only by convex_roof
+    with a caller's pure measure.  Start k, if random, is random_isometry(n,
+    r, seed * 7919 + k), built once per process.  restarts, max_evals and a
+    given cap must be at least 1, seed an integer >= 0 (else ParameterOutOfRange).
     """
 
     ensemble_size_cap: Optional[int] = None
@@ -95,12 +96,14 @@ class RoofOptions:
     extra_starts: tuple = ()  # isometries (any row count >= rank) to seed from
 
     def __post_init__(self):
-        _require_counts(ensemble_size_cap=self.ensemble_size_cap, restarts=self.restarts,
-                        max_evals=self.max_evals)
+        _require_options(self.seed, ensemble_size_cap=self.ensemble_size_cap,
+                         restarts=self.restarts, max_evals=self.max_evals)
 
 
-def _require_counts(**counts):
-    """Raise ParameterOutOfRange for a count below 1; None means unset."""
+def _require_options(seed, **counts):
+    """Raise ParameterOutOfRange unless seed is an integer >= 0 and each count >= 1 or None."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterOutOfRange(f"seed must be an integer >= 0, got {seed!r}")
     for name, value in counts.items():
         if value is not None and value < 1:
             raise ParameterOutOfRange(f"{name} must be at least 1, got {value}")
@@ -272,41 +275,35 @@ def _seeded_isometry(n: int, r: int, seed: int) -> np.ndarray:
     return T
 
 
-def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
-                 opts: RoofOptions, cost=None, value_grad=None,
-                 lower: float = 0.0) -> MeasureResult:
+def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOptions,
+                 value_grad, lower: float = 0.0) -> MeasureResult:
     """Minimize an ensemble cost over ensembles of bounded size.
 
     Ensembles are isometries T applied to the eigen-decomposition: member m
     has oblique coefficients X[:, m] of X = Cc @ T.T and raw vector
-    V @ X[:, m].  cost(X) gives the cost of X or of each matrix of a stack
-    of them.  The starts form one list (identity, free-leaning,
-    opts.extra_starts, then seeded random isometries, which depend only on
-    (n, r, opts.seed) and are built once per process).  Their costs are
-    checked with one cost call per start shape, on the stack of that
-    shape's X.  lower is a certified lower bound on the roof.  If the cost
-    of some start is within ROOF_GAP of it, the cheapest such start is
-    returned unsearched.  Otherwise the starts are searched locally on the
-    cost: all at once, one stack per start shape, by Riemannian descent when
-    value_grad(X) gives the cost and a gradient G for each of a stack of X
-    (cost then defaults to its value), either the real gradient
-    df/dRe X + i df/dIm X (_l1_value_grad) or half of it, df/dconj(X)
-    (_rel_ent_value_grad), since the factor only rescales the descent's
-    steps (a zero gradient stops every search at its start); otherwise one
-    after another by a retracted pattern search on cost(X), at most
-    opts.max_evals evaluations each.  Both move the isometry T itself, with
-    polar retraction, and accept only decreases.  The lowest search wins
-    (exact ties to the earlier start), where every search within ROOF_GAP
-    of lower counts as lowest, so the earliest of those wins and is
-    converged.  iterations counts every cost evaluation: one per start for
-    the start checks, then every search's.
+    V @ X[:, m].  value_grad(X) gives the costs of a stack of X and either
+    G = None or a gradient G per X: the real gradient df/dRe X + i df/dIm X
+    (_l1_value_grad) or half of it, df/dconj(X) (_rel_ent_value_grad), as
+    the factor only rescales the descent's steps.  The starts form one list
+    (identity, free-leaning, opts.extra_starts, then seeded random
+    isometries, which depend only on (n, r, opts.seed) and are built once
+    per process).  Each start shape's stack is evaluated once, as the start
+    check and, given G, as the first step of the shape's lockstep
+    Riemannian descent (a zero G stops every search at its start); given
+    G = None, each start gets a retracted pattern search of at most
+    opts.max_evals evaluations.  Both move T, with polar retraction, and
+    accept only decreases.  lower is a certified lower bound on the roof.
+    One rule picks the winner among the starts and, unless one is within
+    ROOF_GAP of lower, among the searches: the lowest value, ties to the
+    earlier start, every value within ROOF_GAP of lower counting as lowest,
+    so the earliest of those wins and is converged.  iterations counts every
+    cost evaluation: one per start, then every search's further ones.
     """
     _check_dims(rho.dimension, basis.dimension)
     B = weighted_eigvecs(rho)                   # d x r
     Cc = basis.biorthogonal_duals.conj().T @ B  # X = Cc @ T.T
     r = B.shape[1]
     n = max(opts.ensemble_size_cap or r * r, r)
-    cost = cost or (lambda X: value_grad(X)[0])
 
     def result(T, value, total, conv):
         return MeasureResult(value=max(value, 0.0),
@@ -315,7 +312,7 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
 
     if r == 1:
         T = np.eye(1, 1, dtype=complex)
-        return result(T, float(cost(Cc @ T.T)), 1, True)
+        return result(T, float(value_grad(Cc @ T.T)[0]), 1, True)
 
     starts = [np.eye(n, r, dtype=complex)]
     # free-leaning start: members aimed at the basis directions weighted by
@@ -327,30 +324,37 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis,
     while len(starts) < opts.restarts:
         starts.append(_seeded_isometry(n, r, opts.seed * 7919 + len(starts)))
 
-    start_costs = np.empty(len(starts))
+    def cost_grad(T):
+        val, G = value_grad(Cc @ T.swapaxes(-1, -2))
+        return val, None if G is None else G.swapaxes(-1, -2) @ Cc.conj()
+
+    def best(found):
+        # every record within ROOF_GAP of lower ties at the clamp, so the
+        # earliest of them wins; min keeps the earliest of any exact tie
+        T, val, _, conv = min(found, key=lambda f: max(f[1], lower + ROOF_GAP))
+        return T, val, conv or val - lower <= ROOF_GAP
+
+    stacks, start_costs = [], np.empty(len(starts))
     for shape in dict.fromkeys(T0.shape for T0 in starts):
         idx = [i for i, T0 in enumerate(starts) if T0.shape == shape]
-        start_costs[idx] = cost(Cc @ np.stack([starts[i] for i in idx]).swapaxes(-1, -2))
+        T0 = np.stack([starts[i] for i in idx])
+        stacks.append((idx, T0, *cost_grad(T0)))
+        start_costs[idx] = stacks[-1][2]
     total = len(starts)
-    cheapest = min(range(len(starts)), key=start_costs.__getitem__)
-    if start_costs[cheapest] - lower <= ROOF_GAP:
-        return result(starts[cheapest], float(start_costs[cheapest]), total, True)
-
-    if value_grad is not None:
-        def cost_grad(T):
-            val, G = value_grad(Cc @ T.swapaxes(-1, -2))
-            return val, G.swapaxes(-1, -2) @ Cc.conj()
-
-        found = [(T, val, evals, True)
-                 for T, val, evals in _stacked_riemannian_descent(cost_grad, starts)]
-    else:
-        found = [_pattern_search(lambda T: float(cost(Cc @ T.T)), T0, opts.max_evals)
-                 for T0 in starts]
-    total += sum(f[2] for f in found)
-    # every search within ROOF_GAP of lower ties at the clamp, so the
-    # earliest of them wins; min keeps the earliest of any exact tie
-    T, val, _, conv = min(found, key=lambda f: max(f[1], lower + ROOF_GAP))
-    return result(T, val, total, conv or val - lower <= ROOF_GAP)
+    T, val, conv = best([(T0, float(v), 0, False) for T0, v in zip(starts, start_costs)])
+    if not conv:
+        found = [None] * len(starts)
+        for idx, T0, val0, G0 in stacks:
+            if G0 is None:
+                runs = [_pattern_search(lambda T: float(value_grad(Cc @ T.T)[0]),
+                                        starts[i], opts.max_evals) for i in idx]
+            else:
+                runs = [(*f, True) for f in _stacked_riemannian_descent(cost_grad, T0, val0, G0)]
+            for i, run in zip(idx, runs):
+                found[i] = run
+        total += sum(f[2] for f in found)
+        T, val, conv = best(found)
+    return result(T, val, total, conv)
 
 
 def _project_stiefel_tangent(T, G):
@@ -364,53 +368,48 @@ def _retract(M):
     return U @ Vh
 
 
-def _stacked_riemannian_descent(value_grad, starts, max_iter=400, gtol=1e-10):
-    """Backtracking gradient descent on the Stiefel manifold from each start,
-    all starts of one shape in lockstep as one stack.
+def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10):
+    """Backtracking gradient descent on the Stiefel manifold from each
+    isometry of the stack T in lockstep, from the values val and gradients G
+    that the caller evaluated at T.
 
-    value_grad(T) takes a stack T of isometries and returns their values and
-    Euclidean gradients G: the real gradient df/dRe T + i df/dIm T or a
-    fixed positive multiple of it, such as df/dconj(T), its half.  Steps
-    start at length 1, so the multiple changes the path taken, not the
-    direction.  Every start keeps its own step size,
-    stall counter and iteration count, so it follows the trajectory it would
-    follow alone; a start that stops leaves the stack.  A start stops when
-    its projected gradient is below gtol, after max_iter accepted steps,
-    after 5 steps that each gain < 1e-11, or when its backtracking step falls
-    to 1e-13.  Returns (T, value, evaluations) per start, in order.
+    value_grad(T) returns the values and Euclidean gradients of a stack T:
+    the real gradient df/dRe T + i df/dIm T or a fixed positive multiple of
+    it, such as df/dconj(T), its half.  Steps start at length 1, so the
+    multiple changes the path taken, not the direction.  Every start keeps
+    its own step size, stall counter and iteration count, so it follows the
+    trajectory it would follow alone; a start that stops leaves the stack.
+    A start stops when its projected gradient is below gtol, after max_iter
+    accepted steps, after 5 steps that each gain < 1e-11, or when its
+    step falls to 1e-13.  Returns (T, value, evaluations) per start, in
+    order; evaluations counts trial points only.
     """
-    found = [None] * len(starts)
-    for shape in dict.fromkeys(T0.shape for T0 in starts):
-        idx = np.array([i for i, T0 in enumerate(starts) if T0.shape == shape])
-        T = np.stack([starts[i] for i in idx])
-        val, G = value_grad(T)
-        PG = _project_stiefel_tangent(T, G)
-        k = len(idx)
-        evals, iters = np.ones(k, dtype=int), np.zeros(k, dtype=int)
-        step, stall = np.ones(k), np.zeros(k, dtype=int)
-        stop = np.linalg.norm(PG, axis=(-2, -1)) < gtol
-        while True:
-            if stop.any():
-                for j in np.flatnonzero(stop):
-                    found[idx[j]] = (T[j], float(val[j]), int(evals[j]))
-                keep = ~stop
-                T, val, PG, step, stall = T[keep], val[keep], PG[keep], step[keep], stall[keep]
-                idx, evals, iters = idx[keep], evals[keep], iters[keep]
-                if not idx.size:
-                    break
-            cand = _retract(T - step[:, None, None] * PG)
-            cval, cG = value_grad(cand)
-            evals += 1
-            ok = cval < val - 1e-14
-            stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
-            iters += ok
-            val = np.where(ok, cval, val)
-            T = np.where(ok[:, None, None], cand, T)
-            PG = np.where(ok[:, None, None], _project_stiefel_tangent(cand, cG), PG)
-            step = np.where(ok, np.minimum(step * 2.0, 10.0), step * 0.5)
-            stop = np.where(ok, (stall >= 5) | (iters >= max_iter)
-                            | (np.linalg.norm(PG, axis=(-2, -1)) < gtol), step <= 1e-13)
-    return found
+    found, idx = [None] * len(T), np.arange(len(T))
+    PG = _project_stiefel_tangent(T, G)
+    evals, iters, stall = np.zeros_like(idx), np.zeros_like(idx), np.zeros_like(idx)
+    step = np.ones(len(T))
+    stop = np.linalg.norm(PG, axis=(-2, -1)) < gtol
+    while True:
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                found[idx[j]] = (T[j], float(val[j]), int(evals[j]))
+            keep = ~stop
+            T, val, PG, step, stall = T[keep], val[keep], PG[keep], step[keep], stall[keep]
+            idx, evals, iters = idx[keep], evals[keep], iters[keep]
+            if not idx.size:
+                return found
+        cand = _retract(T - step[:, None, None] * PG)
+        cval, cG = value_grad(cand)
+        evals += 1
+        ok = cval < val - 1e-14
+        stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
+        iters += ok
+        val = np.where(ok, cval, val)
+        T = np.where(ok[:, None, None], cand, T)
+        PG = np.where(ok[:, None, None], _project_stiefel_tangent(cand, cG), PG)
+        step = np.where(ok, np.minimum(step * 2.0, 10.0), step * 0.5)
+        stop = np.where(ok, (stall >= 5) | (iters >= max_iter)
+                        | (np.linalg.norm(PG, axis=(-2, -1)) < gtol), step <= 1e-13)
 
 
 def _l1_value_grad(X):
@@ -483,7 +482,7 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     """
     V = basis.vectors
 
-    def cost(X):
+    def value_grad(X):  # no gradient: the pattern search
         raw = V @ X
         total = np.zeros(raw.shape[:-2])
         for k in np.ndindex(total.shape):
@@ -491,9 +490,9 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                 p = float(np.sum(np.abs(v) ** 2))
                 if p >= MEMBER_TOL:
                     total[k] += p * pure_measure(PureState(v / math.sqrt(p)))
-        return total
+        return total, None
 
-    return _roof_engine(rho, basis, opts, cost=cost)
+    return _roof_engine(rho, basis, opts, value_grad)
 
 
 def m_l1_roof(rho: DensityMatrix, basis: SuperpositionBasis,
@@ -626,8 +625,9 @@ def max_measure_value(basis: SuperpositionBasis,
                       max_evals: int = 4000) -> float:
     """Best-effort maximum of a pure-state measure over the unit sphere, by
     the retracted pattern search over d x 1 isometries from seeded starts.
-    restarts and max_evals must be at least 1 (ParameterOutOfRange otherwise)."""
-    _require_counts(restarts=restarts, max_evals=max_evals)
+    restarts and max_evals must be at least 1, and seed an integer >= 0
+    (ParameterOutOfRange otherwise)."""
+    _require_options(seed, restarts=restarts, max_evals=max_evals)
     d = basis.dimension
     if d == 1:
         return 0.0

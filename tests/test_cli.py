@@ -228,12 +228,17 @@ def test_axioms_pass_and_fail(capsys):
     assert "unknown measure 'nope'" in capsys.readouterr().err
 
 
-def test_same_outputs_script_compares_checkouts(tmp_path):
+def _same_outputs_script():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("same_outputs",
                                                   root / "scripts" / "same_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_same_outputs_script_compares_checkouts(tmp_path):
+    root, script = Path(__file__).resolve().parents[1], _same_outputs_script()
     commands = [["gram", "--constant", "2", "0.5"], ["example1", "--x-steps", "2"]]
     assert script.compare(root, root, commands) == []
     # a root whose CLI prints something else differs on every command
@@ -243,3 +248,26 @@ def test_same_outputs_script_compares_checkouts(tmp_path):
     (fake / "cli.py").write_text("print('other')\n")
     assert script.compare(tmp_path, root, commands) == [
         f"{' '.join(argv)}: stdout differs" for argv in commands]
+
+
+def test_same_outputs_script_names_the_fields_that_differ():
+    script = _same_outputs_script()
+    # roof dump lines: (seed, pass, item, value, iterations, converged, members)
+    line = (7, 1, "m_rank d=3 full#0", "1.5", 16, True, [(1.0, [(1 + 0j), -0.5j])])
+    fewer = line[:4] + (8,) + line[5:]
+    other = line[:5] + (False, [(1.0, [(1 + 0j), 0.5j])])
+    assert script.roof_diff(repr(line), repr(fewer)) == (
+        "roof_search (7, 1, 'm_rank d=3 full#0'): differs in iterations")
+    assert script.roof_diff(repr(line), repr(other)) == (
+        "roof_search (7, 1, 'm_rank d=3 full#0'): differs in converged, certificate")
+    cli = (7, 1, "example1 mu=0.5", 0, "a\n")
+    assert script.roof_diff(repr(cli), repr(cli[:4] + ("b\n",))) == (
+        "roof_search (7, 1, 'example1 mu=0.5'): differs in stdout")
+    # CLI stdouts: the top-level keys of two JSON objects, else no detail
+    a = json.dumps({"value": 1.0, "iterations": 16, "converged": True}, indent=1)
+    b = json.dumps({"value": 1.0, "iterations": 8, "converged": True})
+    assert script.stdout_diff(a, b) == "stdout differs in 'iterations'"
+    assert script.stdout_diff(a, json.dumps({"value": 1.0})) == (
+        "stdout differs in 'iterations', 'converged'")
+    assert script.stdout_diff(a, "other\n") == "stdout differs"
+    assert script.stdout_diff("[1]", "[2]") == "stdout differs"

@@ -404,6 +404,10 @@ def test_max_measure_value_rejects_empty_budgets():
     for kwargs in ({"restarts": 0}, {"restarts": -3}, {"max_evals": 0}):
         with pytest.raises(ParameterOutOfRange, match="at least 1"):
             max_measure_value(BASIS2, measure, **kwargs)
+    # a seed that numpy would reject only once a random start is drawn
+    for seed in (-1, 1.5, "0"):
+        with pytest.raises(ParameterOutOfRange, match="seed must be an integer >= 0"):
+            max_measure_value(BASIS2, measure, seed=seed)
 
 
 def test_every_result_serializes():

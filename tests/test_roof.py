@@ -56,24 +56,26 @@ def test_roof_closed_form_on_rho_x_family():
 def test_stacked_search_matches_single_start_searches(monkeypatch):
     # a rank-2 state at d = 3, cap r: 2x2 starts, the 3x2 free-leaning start
     # and a 4-row extra start, searched together in stacks of one shape each
-    searched = []
+    value_grads, starts, found = set(), [], []
     search = measures._stacked_riemannian_descent
 
-    def recording(value_grad, starts):
-        found = search(value_grad, starts)
-        searched.append((value_grad, starts, found))
-        return found
+    def recording(value_grad, T, val, G):
+        stack_found = search(value_grad, T, val, G)
+        value_grads.add(value_grad)
+        starts.extend(T)
+        found.extend(stack_found)
+        return stack_found
 
     monkeypatch.setattr(measures, "_stacked_riemannian_descent", recording)
     rho, basis = random_density(3, 2, 5), constant_overlap_basis(3, 0.5)
     opts = RoofOptions(ensemble_size_cap=1, extra_starts=(random_isometry(4, 2, 1),),
                        **CAMPAIGN_ROOF_OPTS)
     res = m_l1_roof(rho, basis, opts)
-    (value_grad, starts, found), = searched
+    (value_grad,) = value_grads  # one search per start shape, on one value_grad
     assert sorted({T0.shape for T0 in starts}) == [(2, 2), (3, 2), (4, 2)]
     assert len({evals for _, _, evals in found}) > 1
     for T0, (T, val, evals) in zip(starts, found):
-        (T1, val1, evals1), = search(value_grad, [T0])
+        (T1, val1, evals1), = search(value_grad, T0[None], *value_grad(T0[None]))
         assert np.array_equal(T, T1) and val == val1 and evals == evals1
     # the report is the lowest search value, the cost of its end point
     Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
@@ -172,9 +174,9 @@ def test_rank_roof_certificate_reproduces_value():
         assert np.max(np.abs(res.certificate.density() - rho.matrix)) < 1e-9
         avg = sum(p * m_rank_pure(phi, basis).value for p, phi in res.certificate.members)
         assert abs(avg - res.value) < 1e-12
-        # the start checks, then one evaluation per start: a zero gradient
-        # stops every search at its start
-        assert res.iterations <= 2 * CAMPAIGN.restarts
+        # one evaluation per start, the start check, which is also the
+        # search's first step: a zero gradient stops every search there
+        assert res.iterations <= CAMPAIGN.restarts
 
 
 def test_rel_ent_roof_dominates_rel_ent():
@@ -263,10 +265,12 @@ def test_ensemble_warm_start_is_isometry():
 
 def test_roof_options_below_one_are_rejected():
     for kwargs in ({"restarts": 0}, {"restarts": -5}, {"max_evals": 0},
-                   {"ensemble_size_cap": 0}, {"ensemble_size_cap": -1}):
+                   {"ensemble_size_cap": 0}, {"ensemble_size_cap": -1},
+                   {"seed": -1}, {"seed": 1.5}):
         with pytest.raises(ParameterOutOfRange):
             RoofOptions(**kwargs)
     assert RoofOptions(ensemble_size_cap=1, restarts=1, max_evals=1).restarts == 1
+    assert RoofOptions(seed=np.int64(3)).seed == 3
 
 
 def test_malformed_extra_start_is_rejected():
@@ -296,8 +300,8 @@ def test_roof_reports_earliest_search_within_gap(monkeypatch, case):
     search = measures._stacked_riemannian_descent
     searched = []
 
-    def rigged(value_grad, starts):
-        found = search(value_grad, starts)
+    def rigged(value_grad, T, val, G):
+        found = search(value_grad, T, val, G)
         if case == "within_gap":  # both within ROOF_GAP: the earlier wins
             rigged_values = {2: lower + 8e-10, 4: lower + 1e-10}
         else:  # two equal lowest values outside the gap: the earlier wins
@@ -344,14 +348,14 @@ def test_stacked_start_checks_equal_per_start_costs(monkeypatch, cost, d, cap):
         calls.append(value_grad(X))
         return calls[-1]
 
-    def no_search(value_grad, starts):  # records the starts, searches none
-        searched.append(starts)
-        return [(T0, 1.0, 0) for T0 in starts]
+    def no_search(value_grad, T, val, G):  # records the starts, searches none
+        searched.extend(T)
+        return [(T0, 1.0, 0) for T0 in T]
 
     # lower = -1 keeps every start check short of the bound
     monkeypatch.setattr(measures, "_stacked_riemannian_descent", no_search)
     measures._roof_engine(rho, basis, opts, value_grad=recording, lower=-1.0)
-    (starts,) = searched
+    starts = searched
     Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
     shapes = list(dict.fromkeys(T0.shape for T0 in starts))
     assert len(shapes) == (1 if (d, cap) == (2, 1) else 2)
@@ -359,6 +363,25 @@ def test_stacked_start_checks_equal_per_start_costs(monkeypatch, cost, d, cap):
     for shape, (val, _) in zip(shapes, calls):
         per_start = [float(value_grad(Cc @ T0.T)[0]) for T0 in starts if T0.shape == shape]
         assert val.tolist() == per_start
+
+
+@pytest.mark.parametrize("cost, d, seed", [("l1", 3, 0), ("rank", 3, 0), ("rel_ent", 2, 1)])
+def test_each_start_stack_is_evaluated_once(cost, d, seed):
+    # no start meets the roof's lower bound on these states, so every start
+    # is searched; the start checks are the searches' first evaluations, so
+    # no stack, of starts or of trial points, reaches value_grad twice
+    rho, basis = random_density(d, d, seed), constant_overlap_basis(d, 0.5)
+    value_grad = VALUE_GRADS[cost](basis)
+    calls = []
+
+    def recording(X):
+        assert not any(np.array_equal(X, Y) for Y in calls)
+        calls.append(X.copy())
+        return value_grad(X)
+
+    lower = m_l1(rho, basis).value if cost == "l1" else 0.0
+    res = measures._roof_engine(rho, basis, CAMPAIGN, value_grad=recording, lower=lower)
+    assert res.value - lower > ROOF_GAP
 
 
 def test_seeded_starts_are_cached_read_only():
