@@ -7,8 +7,10 @@ PARENT_ROOT is a checkout of the parent commit, for example one made with
 `git worktree add /tmp/parent HEAD~1`.  For each root the script runs the
 CLI commands of cli_commands (gram, every CLI measure on a constant-overlap
 and a random complex basis, example1, the axiom campaign of every measure
-at d = 2, 3, and the cli_campaign input `measure rel_ent d=4 #2` of seed 4,
-whose solve runs out of iterations and exits 3) with PYTHONPATH=<root>/src
+at d = 2, 3, the 18 axiom campaigns of bench/workloads.cli_campaign at seed
+1 (rel_ent, weight and robustness at d = 2, 3 and three mu each), and the
+cli_campaign input `measure rel_ent d=4 #2` of seed 4, whose solve runs out
+of iterations and exits 3) with PYTHONPATH=<root>/src
 and one BLAS thread, and compares exit code and stdout byte for byte,
 naming the top-level keys that differ when both stdouts are JSON objects.
 It also compares (repr(value), iterations, converged) and the certificate
@@ -160,6 +162,10 @@ def cli_commands(state: str, basis: str, state4: str, basis4: str) -> list:
             + [["example1", "--x-steps", "5"]]
             + [["axioms", "--measure", name, "--d", str(d), "--trials", "4", "--seed", "3"]
                for name in MEASURES for d in (2, 3)]
+            + [["axioms", "--measure", name, "--d", str(d), "--mu", f"{mu:.6g}",
+                "--trials", "20", "--seed", "1"]
+               for name in ("rel_ent", "weight", "robustness") for d in (2, 3)
+               for mu in (1.0 / (1 - d) + 1e-3, 0.5, 1.0 - 1e-3)]
             + [["measure", "--state", state4, "--basis", basis4, "--measure", "rel_ent"]])
 
 

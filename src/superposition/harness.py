@@ -27,6 +27,10 @@ from .errors import ParameterOutOfRange, UnknownChannelFamily, UnknownMeasure, U
 from .measures import (
     MeasureResult,
     RoofOptions,
+    _m_rel_ent_many,
+    _m_robustness_many,
+    _m_weight_many,
+    _require_options,
     ensemble_warm_start,
     m_delta,
     m_l1,
@@ -58,7 +62,7 @@ RESOURCE_L1_FLOOR = 0.2  # rejection threshold for resource-state sampling
 
 @dataclass(frozen=True)
 class AxiomReport:
-    axiom: str      # S1|S2|S3|S4|C2|C4|ORACLE
+    axiom: str      # S1|S2|S3|S4|ORACLE
     measure: str
     trials: int
     tolerance: float
@@ -108,6 +112,8 @@ class MeasureConfig:
     # a roof's fn takes RoofOptions, and its certificate is the ensemble
     # that convexity checks concatenate to seed the mixture search
     roof: bool = False
+    # fn of each state of a list, evaluated together (_evaluate_many)
+    many: Optional[Callable[..., list]] = None
 
 
 def _first_accepted(d, base, accept):
@@ -153,6 +159,16 @@ def _evaluate(cfg: MeasureConfig, rho, basis, extra_starts=()) -> MeasureResult:
                                           **CAMPAIGN_ROOF_OPTS))
 
 
+def _evaluate_many(cfg: MeasureConfig, states, basis, extra_starts=None) -> list:
+    """_evaluate of each state, the roofs' with its extra_starts entry: by
+    cfg.many in one call where the measure has a many-state form, else one
+    state at a time."""
+    if cfg.many is not None:
+        return cfg.many(states, basis)
+    return [_evaluate(cfg, rho, basis, extra)
+            for rho, extra in zip(states, extra_starts or [()] * len(states))]
+
+
 def _broken_l1(rho, basis) -> MeasureResult:
     """Negative control: l1 plus a diagonal term; not faithful."""
     diag = np.abs(np.diag(coefficients_of(rho, basis).entries)).sum()
@@ -160,17 +176,17 @@ def _broken_l1(rho, basis) -> MeasureResult:
 
 
 def _measure_registry():
-    def std(fn, tol, roof=False):
+    def std(fn, tol, roof=False, many=None):
         return MeasureConfig(fn=fn, tolerance=tol, channel_family="standard",
                              free_sampler=random_free,
-                             resource_sampler=_resource_state, roof=roof)
+                             resource_sampler=_resource_state, roof=roof, many=many)
 
     return {
         "l1": std(m_l1, 1e-6),
-        "rel_ent": std(m_rel_ent, 1e-3),
+        "rel_ent": std(m_rel_ent, 1e-3, many=_m_rel_ent_many),
         "rank": std(m_rank, 1e-3, roof=True),
-        "robustness": std(m_robustness, 1e-3),
-        "weight": std(m_weight, 1e-3),
+        "robustness": std(m_robustness, 1e-3, many=_m_robustness_many),
+        "weight": std(m_weight, 1e-3, many=_m_weight_many),
         "l1_roof": std(m_l1_roof, 1e-3, roof=True),
         "rel_ent_roof": std(m_rel_ent_roof, 1e-3, roof=True),
         "delta": MeasureConfig(
@@ -198,31 +214,33 @@ def _sample_channel(family: str, basis: SuperpositionBasis, seed: int):
 
 # ---------------------------------------------------------------------------
 # axiom campaigns
+#
+# A trial is a generator: it yields lists of (state, extra_starts) pairs to
+# evaluate, is sent their MeasureResults, and returns its (matrix, lhs, rhs,
+# slack) records; slack > 0 is a violation.
 
 
 def _free_and_resource_trial(cfg, basis, family, tol, ts):
     free = cfg.free_sampler(basis, ts)
-    v = _evaluate(cfg, free, basis).value
-    yield free.matrix, v, tol, v - tol
     res = cfg.resource_sampler(basis, ts)
-    v = _evaluate(cfg, res, basis).value
-    yield res.matrix, tol, v, tol - v
+    at_free, at_res = (r.value for r in (yield [(free, ()), (res, ())]))
+    return [(free.matrix, at_free, tol, at_free - tol), (res.matrix, tol, at_res, tol - at_res)]
 
 
 def _channel_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts)
-    before = _evaluate(cfg, rho, basis).value
-    after = _evaluate(cfg, apply(chan, rho), basis).value
-    yield rho.matrix, after, before, after - before - tol
+    before, after = (r.value for r in (yield [(rho, ()), (apply(chan, rho), ())]))
+    return [(rho.matrix, after, before, after - before - tol)]
 
 
 def _selective_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts + 1)
-    before = _evaluate(cfg, rho, basis).value
-    avg = sum(p * _evaluate(cfg, out, basis).value for p, out in apply_selective(chan, rho))
-    yield rho.matrix, avg, before, avg - before - tol
+    outcomes = apply_selective(chan, rho)
+    before, *after = yield [(rho, ())] + [(out, ()) for _, out in outcomes]
+    avg = sum(p * res.value for (p, _), res in zip(outcomes, after))
+    return [(rho.matrix, avg, before.value, avg - before.value - tol)]
 
 
 def _mixture_trial(cfg, basis, family, tol, ts):
@@ -232,40 +250,59 @@ def _mixture_trial(cfg, basis, family, tol, ts):
     w = rng.exponential(size=k)
     w /= w.sum()
     mix = DensityMatrix(sum(wi * p.matrix for wi, p in zip(w, parts)))
-    results = [_evaluate(cfg, p, basis) for p in parts]
-    rhs = sum(wi * res.value for wi, res in zip(w, results))
-    extra_starts = ()
     if cfg.roof:
         # seed the mixture search with the concatenated component
-        # ensembles, which form a valid decomposition of the mixture
+        # ensembles, which form a valid decomposition of the mixture, so
+        # the components are evaluated first
+        results = yield [(p, ()) for p in parts]
         members = [(wi * p, phi) for wi, res in zip(w, results)
                    for p, phi in res.certificate.members]
-        extra_starts = (ensemble_warm_start(mix, members),)
-    lhs = _evaluate(cfg, mix, basis, extra_starts).value
-    yield mix.matrix, lhs, rhs, lhs - rhs - tol
+        mixed, = yield [(mix, (ensemble_warm_start(mix, members),))]
+    else:
+        *results, mixed = yield [(p, ()) for p in parts] + [(mix, ())]
+    lhs = mixed.value
+    rhs = sum(wi * res.value for wi, res in zip(w, results))
+    return [(mix.matrix, lhs, rhs, lhs - rhs - tol)]
 
 
-def _report(axiom, measure, count, tol, note, trial) -> AxiomReport:
-    """Run trial(t) for t in range(count).  Each trial yields (matrix, lhs,
-    rhs, slack) records; slack > 0 is a violation, reported by the matrix
-    digest."""
-    if count < 1:
-        raise ParameterOutOfRange(f"trials must be at least 1, got {count}")
+def _run_trials(cfg, basis, trials) -> list:
+    """Run the trial generators together; returns each one's records.  In
+    each round the states that every unfinished trial asks for go through
+    one _evaluate_many call."""
+    found = [None] * len(trials)
+    asks = {i: next(trial) for i, trial in enumerate(trials)}
+    while asks:
+        pairs = [pair for ask in asks.values() for pair in ask]
+        results = iter(_evaluate_many(cfg, [rho for rho, _ in pairs], basis,
+                                      [extra for _, extra in pairs]))
+        replies = {i: [next(results) for _ in ask] for i, ask in asks.items()}
+        asks = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = trials[i].send(reply)
+            except StopIteration as stop:
+                found[i] = stop.value
+    return found
+
+
+def _report(axiom, measure, tol, note, trials) -> AxiomReport:
+    """The report on trials, each trial's list of records; a violation is
+    reported by its trial index and matrix digest."""
     violations = []
     max_slack = -math.inf
-    for t in range(count):
-        for matrix, lhs, rhs, slack in trial(t):
+    for t, records in enumerate(trials):
+        for matrix, lhs, rhs, slack in records:
             max_slack = max(max_slack, slack)
             if slack > 0:
                 violations.append({"trial": t, "digest": _digest(matrix),
                                    "lhs": lhs, "rhs": rhs, "slack": slack})
-    return AxiomReport(axiom=axiom, measure=measure, trials=count, tolerance=tol,
+    return AxiomReport(axiom=axiom, measure=measure, trials=len(trials), tolerance=tol,
                        violations=tuple(violations), max_slack=max_slack, note=note)
 
 
 # One row per axiom: (axiom, trial-seed stride, trial cap, note, trial
-# function).  A trial function yields _report's records for one trial seed.
-# S2-S4 cap at 50 trials since each trial calls solvers on several states.
+# function).  A trial function makes the trial of one trial seed.  S2-S4
+# cap at 50 trials since each trial calls solvers on several states.
 _AXIOM_SPECS = (
     ("S1", 100003, None,
      "free samples must vanish; resource samples must exceed tol",
@@ -284,7 +321,9 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
                        seed: int = 0, tol: Optional[float] = None):
     """Run S1-S4 for one measure; returns a list of four AxiomReport.
 
-    S1 uses the full trial count; S2-S4 cap at 50 trials.
+    S1 uses the full trial count; S2-S4 cap at 50 trials.  The trials of
+    all four rows run together (_run_trials).  trials must be at least 1
+    and seed an integer >= 0 (ParameterOutOfRange otherwise).
     """
     if measure not in MEASURES:
         raise UnknownMeasure(f"unknown measure {measure!r}")
@@ -295,11 +334,15 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     family = channel_family or cfg.channel_family
     if family not in ("standard", "real_dual"):
         raise UnknownChannelFamily(family)
+    _require_options(seed, trials=trials)
     tolerance = cfg.tolerance if tol is None else tol
-    return [_report(axiom, measure, trials if cap is None else min(trials, cap), tolerance,
-                    note.format(family=family),
-                    lambda t: trial(cfg, basis, family, tolerance, seed * stride + t))
-            for axiom, stride, cap, note, trial in _AXIOM_SPECS]
+    counts = [trials if cap is None else min(trials, cap) for _, _, cap, _, _ in _AXIOM_SPECS]
+    records = iter(_run_trials(cfg, basis, [
+        trial(cfg, basis, family, tolerance, seed * stride + t)
+        for (_, stride, _, _, trial), count in zip(_AXIOM_SPECS, counts) for t in range(count)]))
+    return [_report(axiom, measure, tolerance, note.format(family=family),
+                    [next(records) for _ in range(count)])
+            for (axiom, _, _, note, _), count in zip(_AXIOM_SPECS, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,33 +430,33 @@ ORACLES = {
 def run_oracle_campaign(measure: str, oracle: str, trials: int = 50,
                         seed: int = 0, tol: float = 1e-3) -> AxiomReport:
     """Compare the solver against brute force on random d=2 states (or the
-    rho(x) family for the roof oracle)."""
+    rho(x) family for the roof oracle).  The random states are evaluated
+    together (_evaluate_many).  trials must be at least 1 and seed an
+    integer >= 0 (ParameterOutOfRange otherwise)."""
     if oracle not in ORACLES:
         raise UnknownOracle(oracle)
     want_measure, oracle_fn = ORACLES[oracle]
     if measure != want_measure:
         raise UnknownOracle(f"oracle {oracle} checks {want_measure}, not {measure}")
+    _require_options(seed, trials=trials)
     cfg = MEASURES[measure]
-    basis = constant_overlap_basis(2, 0.5)
-    rng = np.random.default_rng(seed)
-
-    def trial(t):
-        if oracle == "roof_grid":
+    if oracle == "roof_grid":
+        rng = np.random.default_rng(seed)
+        found = []
+        for _ in range(trials):
             x = float(rng.uniform(-0.45, 0.45))
             rho, basis_x = rho_x(x, 0.5)
             solver = cfg.fn(rho, basis_x, RoofOptions(ensemble_size_cap=2,
                                                       restarts=6, seed=0)).value
-            truth = oracle_roof_grid_rho_x(x, 0.5)
-            key = np.array([x])
-        else:
-            rho = cfg.resource_sampler(basis, seed * 100069 + t)
-            solver = _evaluate(cfg, rho, basis).value
-            truth = oracle_fn(rho, basis)
-            key = rho.matrix
-        # checked two-sided, |solver - truth| <= tol: a roof decomposition
-        # may cost more than the grid minimum by the search's error, and less
-        # by the grid's discretization error
-        yield key, solver, truth, abs(solver - truth) - tol
-
-    return _report("ORACLE", measure, trials, tol,
-                   f"brute-force oracle '{oracle}' at d=2", trial)
+            found.append((np.array([x]), solver, oracle_roof_grid_rho_x(x, 0.5)))
+    else:
+        basis = constant_overlap_basis(2, 0.5)
+        states = [cfg.resource_sampler(basis, seed * 100069 + t) for t in range(trials)]
+        found = [(rho.matrix, res.value, oracle_fn(rho, basis))
+                 for rho, res in zip(states, _evaluate_many(cfg, states, basis))]
+    # checked two-sided, |solver - truth| <= tol: a roof decomposition may
+    # cost more than the grid minimum by the search's error, and less by the
+    # grid's discretization error
+    return _report("ORACLE", measure, tol, f"brute-force oracle '{oracle}' at d=2",
+                   [[(key, solver, truth, abs(solver - truth) - tol)]
+                    for key, solver, truth in found])

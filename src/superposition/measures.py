@@ -77,15 +77,17 @@ class RoofOptions:
     """Knobs for the ensemble-decomposition search.
 
     The starts are the identity, the free-leaning start, every extra_starts
-    entry, then seeded random starts up to restarts in all: there are
-    max(restarts, 2 + len(extra_starts)), so restarts=1 gives two, and none
-    is searched once one meets the roof's lower bound.  ensemble_size_cap
+    entry, then restarts - 2 seeded random starts (none for restarts <= 2):
+    there are 2 + len(extra_starts) + max(restarts - 2, 0), so restarts=1
+    gives two, and none is searched once one meets the roof's lower bound.
+    Adding an extra start or raising restarts only adds starts, so it never
+    raises the roof by more than ROOF_GAP.  ensemble_size_cap
     (default rank squared) sets the member count of the identity and the
     random starts only: the free-leaning start has d members and an extra
     start as many as its rows, so the result can have more than the cap.
     max_evals bounds one derivative-free search, run only by convex_roof
-    with a caller's pure measure.  Start k, if random, is random_isometry(n,
-    r, seed * 7919 + k), built once per process.  restarts, max_evals and a
+    with a caller's pure measure.  Random start j is random_isometry(n, r,
+    seed * 7919 + 2 + j), built once per process.  restarts, max_evals and a
     given cap must be at least 1, seed an integer >= 0 (else ParameterOutOfRange).
     """
 
@@ -157,33 +159,41 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def m_rel_ent(rho: DensityMatrix, basis: SuperpositionBasis,
               max_iter: int = 2000) -> MeasureResult:
     """min_q S(rho || sum_i q_i |c_i><c_i|) by exponentiated-gradient descent."""
-    _check_dims(rho.dimension, basis.dimension)
+    return _m_rel_ent_many([rho], basis, max_iter)[0]
+
+
+def _m_rel_ent_many(rhos, basis: SuperpositionBasis, max_iter: int = 2000) -> list:
+    """m_rel_ent of each state, all in one mirror_descent_simplex call."""
+    for rho in rhos:
+        _check_dims(rho.dimension, basis.dimension)
     d = basis.dimension
     V = basis.vectors
-    lr = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
-    const = float(np.sum(lr[lr > SUPPORT_TOL] * np.log(lr[lr > SUPPORT_TOL])))
+    P = np.stack([rho.matrix for rho in rhos])
+    const = np.array([float(np.sum(lr[lr > SUPPORT_TOL] * np.log(lr[lr > SUPPORT_TOL])))
+                      for lr in np.clip(np.linalg.eigvalsh(P), 0.0, None)])
 
-    def values(Q):
+    def values(Q, owner=0):
         s, U = np.linalg.eigh((V * Q[:, None, :]) @ V.conj().T)
         s = np.clip(s, 1e-300, None)
-        A = U.conj().swapaxes(-1, -2) @ rho.matrix @ U
+        A = U.conj().swapaxes(-1, -2) @ P[owner] @ U
         ls = np.log(s)
-        return const - np.sum(A.diagonal(0, -2, -1).real * ls, axis=-1), (s, U, A, ls)
+        return const[owner] - np.sum(A.diagonal(0, -2, -1).real * ls, axis=-1), (s, U, A, ls)
 
     def gradient(state, j):
         # Frechet derivative of log via the Loewner matrix
         s, U, A, ls = (x[j] for x in state)
-        diff = s[:, None] - s[None, :]
-        L = np.where(np.abs(diff) > 1e-14,
-                     (ls[:, None] - ls[None, :]) / np.where(np.abs(diff) > 1e-14, diff, 1.0),
-                     1.0 / s[:, None])
-        B = U.conj().T @ V
-        C = L * A.T
-        return -np.einsum("ai,ab,bi->i", B, C, B.conj()).real
+        diff = s[..., :, None] - s[..., None, :]
+        apart = np.abs(diff) > 1e-14
+        L = np.where(apart, (ls[..., :, None] - ls[..., None, :]) / np.where(apart, diff, 1.0),
+                     1.0 / s[..., :, None])
+        B = U.conj().swapaxes(-1, -2) @ V
+        C = L * A.swapaxes(-1, -2)
+        return -np.einsum("...ai,...ab,...bi->...i", B, C, B.conj()).real
 
-    q, val, iters, converged = mirror_descent_simplex(values, gradient, d, max_iter=max_iter)
-    return MeasureResult(value=max(val / LN2, 0.0), certificate=q,
-                         iterations=iters, converged=converged)
+    found = mirror_descent_simplex(values, gradient, d, max_iter=max_iter, problems=len(rhos))
+    return [MeasureResult(value=max(val / LN2, 0.0), certificate=q,
+                          iterations=iters, converged=converged)
+            for q, val, iters, converged in found]
 
 
 def m_robustness(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
@@ -191,17 +201,24 @@ def m_robustness(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult
 
     In oblique coordinates this is min sum(y) - 1 over diag(y) >= R.
     """
-    R = coefficients_of(rho, basis).entries
-    y, iters = min_dominating_diagonal(R)
-    total = float(y.sum())
-    s = max(total - 1.0, 0.0)
-    q = y / total
-    cert = {"s": s, "q": q, "tau": None}
-    if s > 1e-6:
-        delta = free_state(basis, q)
-        tau = ((1.0 + s) * delta.matrix - rho.matrix) / s
-        cert["tau"] = DensityMatrix(clip_to_psd(tau))
-    return MeasureResult(value=s, certificate=cert, iterations=iters)
+    return _m_robustness_many([rho], basis)[0]
+
+
+def _m_robustness_many(rhos, basis: SuperpositionBasis) -> list:
+    """m_robustness of each state, all in one min_dominating_diagonal call."""
+    R = np.stack([coefficients_of(rho, basis).entries for rho in rhos])
+    found = []
+    for rho, (y, iters) in zip(rhos, min_dominating_diagonal(R)):
+        total = float(y.sum())
+        s = max(total - 1.0, 0.0)
+        q = y / total
+        cert = {"s": s, "q": q, "tau": None}
+        if s > 1e-6:
+            delta = free_state(basis, q)
+            tau = ((1.0 + s) * delta.matrix - rho.matrix) / s
+            cert["tau"] = DensityMatrix(clip_to_psd(tau))
+        found.append(MeasureResult(value=s, certificate=cert, iterations=iters))
+    return found
 
 
 def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
@@ -209,16 +226,23 @@ def m_weight(rho: DensityMatrix, basis: SuperpositionBasis) -> MeasureResult:
 
     In oblique coordinates: 1 - max sum(w) over 0 <= diag(w) <= R.
     """
-    R = coefficients_of(rho, basis).entries
-    w, iters = max_weight_diagonal(R)
-    lam = float(np.clip(w.sum(), 0.0, 1.0))
-    value = 1.0 - lam
-    cert = {"w": w, "tau": None}
-    if value > 1e-6:
-        V = basis.vectors
-        tau = (rho.matrix - (V * w) @ V.conj().T) / value
-        cert["tau"] = DensityMatrix(clip_to_psd(tau))
-    return MeasureResult(value=value, certificate=cert, iterations=iters)
+    return _m_weight_many([rho], basis)[0]
+
+
+def _m_weight_many(rhos, basis: SuperpositionBasis) -> list:
+    """m_weight of each state, all in one max_weight_diagonal call."""
+    R = np.stack([coefficients_of(rho, basis).entries for rho in rhos])
+    V = basis.vectors
+    found = []
+    for rho, (w, iters) in zip(rhos, max_weight_diagonal(R)):
+        lam = float(np.clip(w.sum(), 0.0, 1.0))
+        value = 1.0 - lam
+        cert = {"w": w, "tau": None}
+        if value > 1e-6:
+            tau = (rho.matrix - (V * w) @ V.conj().T) / value
+            cert["tau"] = DensityMatrix(clip_to_psd(tau))
+        found.append(MeasureResult(value=value, certificate=cert, iterations=iters))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +345,10 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
     starts.append(_retract((np.linalg.pinv(B) @ (basis.vectors * np.sqrt(q))).T))
     for extra in opts.extra_starts:
         starts.append(_retract(require_isometry_shape(extra, r)))
-    while len(starts) < opts.restarts:
-        starts.append(_seeded_isometry(n, r, opts.seed * 7919 + len(starts)))
+    # random start j has its own seed, so extra starts add to the random
+    # ones instead of taking their places: more effort never loses a start
+    for j in range(opts.restarts - 2):
+        starts.append(_seeded_isometry(n, r, opts.seed * 7919 + 2 + j))
 
     def cost_grad(T):
         val, G = value_grad(Cc @ T.swapaxes(-1, -2))
@@ -440,18 +466,21 @@ def _rel_ent_value_grad(X, basis):
     G = df/dconj(X), half the real gradient: df/dRe X = 2 Re G.  A member's
     term min_q -v^dag log(sigma_q) v / ln 2 is quadratic in v at fixed q,
     so by the envelope theorem its gradient is -V^dag log(sigma_q*) v / ln 2
-    at the inner optimum q*."""
+    at the inner optimum q*.  The members' inner solves run together, and
+    their sigma_q* are decomposed as one stack."""
     V = basis.vectors
     raw = V @ X
     p = (np.abs(raw) ** 2).sum(axis=-2)
     val, grad = np.zeros(p.shape), np.zeros(X.shape, dtype=complex)
-    for *k, m in zip(*np.nonzero(p >= MEMBER_TOL)):
-        v = raw[(*k, slice(None), m)]
-        res = m_rel_ent(PureState(v / math.sqrt(p[(*k, m)])).density(), basis, max_iter=400)
-        s, U = np.linalg.eigh((V * res.certificate) @ V.conj().T)
-        log_sigma = (U * np.log(np.clip(s, 1e-300, None))) @ U.conj().T
-        val[(*k, m)] = p[(*k, m)] * res.value
-        grad[(*k, slice(None), m)] = -(V.conj().T @ (log_sigma @ v)) / LN2
+    members = [((*k, slice(None), m), (*k, m)) for *k, m in zip(*np.nonzero(p >= MEMBER_TOL))]
+    found = _m_rel_ent_many([PureState(raw[col] / math.sqrt(p[at])).density()
+                             for col, at in members], basis, 400)
+    s, U = np.linalg.eigh((V * np.array([res.certificate for res in found])[:, None, :])
+                          @ V.conj().T)
+    log_sigma = (U * np.log(np.clip(s, 1e-300, None))[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    for (col, at), res, L in zip(members, found, log_sigma):
+        val[at] = p[at] * res.value
+        grad[col] = -(V.conj().T @ (L @ raw[col])) / LN2
     return val.sum(axis=-1), grad
 
 

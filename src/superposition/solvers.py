@@ -22,7 +22,20 @@ projection onto the free simplex uses exponentiated-gradient (mirror)
 descent, ``mirror_descent_simplex``: it evaluates the objective on stacks of
 points, takes the gradient only where it steps, and tries the step sizes of
 its backtracking in pairs, in the order it would try them one at a time.
+
+Each solver is written once, for one problem, as a generator that yields
+its kernel requests (``_barrier_path``, ``_mirror_path``).  ``_drive`` runs
+a list of them: a lone problem has each request answered at once, and many
+problems run in rounds, all pending requests of one kind answered by one
+call on their stack.  Given a stack of problems (a stack of starts for
+``barrier_descent``, of R for the diagonal solvers, ``problems=n`` for the
+mirror descent) a solver returns a list of results, each the one the
+problem gets alone: every stacked kernel is a stack of the one-problem
+kernels, bit for bit, and ``LogDetBarrier`` carries a leading problem axis.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -42,24 +55,85 @@ MIRROR_FLOOR = 1e-12
 MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged when no step decreases
 
 
-def _newton_direction(g, H):
+def _drive(problems, one, many):
+    """Run the problem generators to their return values, in order.
+
+    A problem yields requests (kind, *args) and is sent each reply, or has
+    the LinAlgError that the request raised thrown in at its yield.  A lone
+    problem has each request answered at once by one[kind](*args).  Several
+    run in rounds: each round takes every unfinished problem's pending
+    request and answers all requests of one kind by one call
+    many[kind](requests, owners), the requests' argument tuples and their
+    problems' indices, which returns the replies in order, a LinAlgError
+    instance for a request that raised one.
+    """
+    if len(problems) == 1:
+        send, throw = problems[0].send, problems[0].throw
+        try:
+            ask = send(None)
+            while True:
+                try:
+                    reply = one[ask[0]](*ask[1:])
+                except np.linalg.LinAlgError as exc:
+                    ask = throw(exc)
+                else:
+                    ask = send(reply)
+        except StopIteration as stop:
+            return [stop.value]
+    found = [None] * len(problems)
+    asks = {i: next(path) for i, path in enumerate(problems)}
+    while asks:
+        by_kind = {}
+        for i, (kind, *args) in asks.items():
+            owners, requests = by_kind.setdefault(kind, ([], []))
+            owners.append(i)
+            requests.append(args)
+        replies = {}
+        for kind, (owners, requests) in by_kind.items():
+            replies.update(zip(owners, many[kind](requests, np.array(owners))))
+        asks = {}
+        for i, reply in replies.items():
+            path = problems[i]
+            try:
+                asks[i] = (path.throw(reply) if isinstance(reply, np.linalg.LinAlgError)
+                           else path.send(reply))
+            except StopIteration as stop:
+                found[i] = stop.value
+    return found
+
+
+def _solve_many(requests, owners):
+    """np.linalg.solve for each (H, b) request as one stacked solve, or one
+    at a time if that raises, a singular H's reply being its LinAlgError."""
+    H, b = (np.stack(a) for a in zip(*requests))
     try:
-        return np.linalg.solve(H, -g)
+        return list(np.linalg.solve(H, b[..., None])[..., 0])
     except np.linalg.LinAlgError:
-        return -g
+        return [_solve_or_error(*r) for r in requests]
 
 
-def _newton_stage(x, fx, grad_hess, parts, t, tol):
+def _solve_or_error(H, b):
+    try:
+        return np.linalg.solve(H, b)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def _newton_stage(x, fx, t, tol):
     """Damped Newton on f_t = objective + t * barrier at fixed t, stepping
     only on sufficient (Armijo) decrease, until the Newton decrement is at
     most tol.  fx = parts(x) on entry and exit; also returns the gradient
-    and Hessian of f_t at the returned x."""
+    and Hessian of f_t at the returned x.  A generator of barrier_descent's
+    requests."""
     iters = 0
     while True:
-        g, H = grad_hess(x, t)
+        g, H = yield "grad_hess", x, t
         if iters == NEWTON_MAX:
             break
-        dx = _newton_direction(g, H)
+        try:
+            dx = yield "solve", H, -g
+        except np.linalg.LinAlgError:
+            dx = -g
         decrement = float(-g @ dx)
         if decrement <= tol:
             break
@@ -67,7 +141,7 @@ def _newton_stage(x, fx, grad_hess, parts, t, tol):
         alpha = 1.0
         while alpha > 1e-12:
             trial = x + alpha * dx
-            ft = parts(trial)
+            ft = yield "parts", trial
             if ft[0] + t * ft[1] <= f - ARMIJO * alpha * decrement:
                 break
             alpha *= 0.5
@@ -76,21 +150,64 @@ def _newton_stage(x, fx, grad_hess, parts, t, tol):
         x, fx = trial, ft
         iters += 1
         if decrement * alpha < 1e-13:
-            g, H = grad_hess(x, t)
+            g, H = yield "grad_hess", x, t
             break
     return x, fx, iters, g, H
 
 
-def _feasible_step(x, fx, dx, parts, halvings):
+def _feasible_step(x, fx, dx, halvings):
     """(x + 2^-j dx, its parts, 1) for the least j <= halvings at which parts
-    is finite; (x, fx, 0) if there is none."""
+    is finite; (x, fx, 0) if there is none.  A generator of requests."""
     for _ in range(halvings + 1):
         trial = x + dx
-        ft = parts(trial)
-        if np.isfinite(ft[1]):
+        ft = yield "parts", trial
+        if math.isfinite(ft[1]):
             return trial, ft, 1
         dx = 0.5 * dx
     return x, fx, 0
+
+
+def _barrier_path(x):
+    """barrier_descent for one problem, as a generator of its requests."""
+    fx = yield "parts", x
+    c = (yield "grad_hess", x, 0.0)[0]
+    total = 0
+    raises = 0
+    t = BARRIER_T0
+    while True:
+        last = t * BARRIER_SHRINK < BARRIER_TMIN
+        tol = _CENTRE_TIGHT if last else _CENTRE_LOOSE * t
+        x, fx, it, g, H = yield from _newton_stage(x, fx, t, tol)
+        total += it
+        # Such a stage has not reached the central path: far from it each
+        # damped step lowers f_t / t by a bounded amount, so on
+        # ill-conditioned bases the steps creep along the boundary.
+        if it == NEWTON_MAX and raises < BARRIER_RAISES:
+            t /= BARRIER_SHRINK
+            raises += 1
+            continue
+        if last:
+            break
+        try:
+            dx = (1.0 - BARRIER_SHRINK) * (yield "solve", H, g - c)
+        except np.linalg.LinAlgError:
+            pass  # no tangent step
+        else:
+            x, fx, moved = yield from _feasible_step(x, fx, dx, _PREDICTOR_HALVINGS)
+            total += moved
+        t *= BARRIER_SHRINK
+    for k in range(_POLISH_STEPS):
+        if k:
+            g, H = yield "grad_hess", x, t
+        try:
+            dx = yield "solve", H, -g
+        except np.linalg.LinAlgError:
+            dx = -g
+        x, fx, moved = yield from _feasible_step(x, fx, dx, 0)
+        if not moved:
+            break
+        total += 1
+    return x, total
 
 
 def barrier_descent(x, grad_hess, parts):
@@ -115,42 +232,28 @@ def barrier_descent(x, grad_hess, parts):
     Hessian of f_t = objective + t * barrier, so grad_hess(x, 0.0) returns
     c.  Returns (x, total Newton iterations), predictor and polish steps
     included.
+
+    Given a stack of starts x, one row per problem, it follows every path
+    as it would alone and returns a list of those pairs.  Several problems
+    are evaluated together (_drive): parts(X, owner) and grad_hess(X, T,
+    owner) then take stacked points X, row i of problem owner[i] at weight
+    T[i], and return stacked values; a lone one gets the one-point calls,
+    which are problem 0's.
     """
-    fx = parts(x)
-    c = grad_hess(x, 0.0)[0]
-    total = 0
-    raises = 0
-    t = BARRIER_T0
-    while True:
-        last = t * BARRIER_SHRINK < BARRIER_TMIN
-        tol = _CENTRE_TIGHT if last else _CENTRE_LOOSE * t
-        x, fx, it, g, H = _newton_stage(x, fx, grad_hess, parts, t, tol)
-        total += it
-        # Such a stage has not reached the central path: far from it each
-        # damped step lowers f_t / t by a bounded amount, so on
-        # ill-conditioned bases the steps creep along the boundary.
-        if it == NEWTON_MAX and raises < BARRIER_RAISES:
-            t /= BARRIER_SHRINK
-            raises += 1
-            continue
-        if last:
-            break
-        try:
-            dx = (1.0 - BARRIER_SHRINK) * np.linalg.solve(H, g - c)
-        except np.linalg.LinAlgError:
-            pass  # no tangent step
-        else:
-            x, fx, moved = _feasible_step(x, fx, dx, parts, _PREDICTOR_HALVINGS)
-            total += moved
-        t *= BARRIER_SHRINK
-    for k in range(_POLISH_STEPS):
-        if k:
-            g, H = grad_hess(x, t)
-        x, fx, moved = _feasible_step(x, fx, _newton_direction(g, H), parts, 0)
-        if not moved:
-            break
-        total += 1
-    return x, total
+    one = {"parts": parts, "grad_hess": grad_hess, "solve": np.linalg.solve}
+    if x.ndim == 1:
+        return _drive([_barrier_path(x)], one, None)[0]
+
+    def many_parts(requests, owners):
+        obj, barrier = parts(np.stack([x for x, in requests]), owners)
+        return list(zip(obj.tolist(), barrier.tolist()))
+
+    def many_grad_hess(requests, owners):
+        X, T = np.stack([x for x, _ in requests]), np.array([t for _, t in requests])
+        return list(zip(*grad_hess(X, T, owners)))
+
+    return _drive([_barrier_path(row) for row in x], one,
+                  {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
 
 
 def _hermitian_coordinates(blocks):
@@ -163,62 +266,109 @@ def _hermitian_coordinates(blocks):
     return np.array(r), np.array(s), np.array(w, dtype=complex)
 
 
+def _neg_log_det(F):
+    """-log det of each member of a stack F (n, P, d, d) of P blocks each,
+    +inf where a block is not positive definite.  A stacked Cholesky raises
+    if any one block fails, so on failure the members with a block whose
+    least eigenvalue is below -1e-8 times its largest magnitude, far beyond
+    Cholesky's rounding, get +inf and the rest are factored as one stack,
+    or one at a time if that raises too."""
+    out = np.full(len(F), np.inf)
+    try:
+        ok, L = slice(None), np.linalg.cholesky(F)
+    except np.linalg.LinAlgError:
+        if len(F) == 1:
+            return out
+        ev = np.linalg.eigvalsh(F)
+        ok = np.flatnonzero((ev[..., 0] >= -1e-8 * np.abs(ev).max(axis=-1)).all(axis=-1))
+        try:
+            L = np.linalg.cholesky(F[ok])
+        except np.linalg.LinAlgError:
+            return np.concatenate([_neg_log_det(f[None]) for f in F])
+    out[ok] = -2.0 * np.log(L.diagonal(0, -2, -1).real).sum(axis=(-2, -1))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _lmi_plan(blocks: tuple, d: int, weight: bool):
+    """The coordinates (r, s, w) of _hermitian_coordinates(blocks) and the
+    F_pk of weight_barrier's LMI (weight) or robustness_barrier's over them,
+    as LogDetBarrier uses them: F_pk is the Hermitian matrix with w[p, k]
+    at (rows[p, k], cols[p, k]).  Built once per process and read-only."""
+    r, s, w = _hermitian_coordinates(blocks)
+    rows, cols, wpk = ((np.array([r, r]), np.array([s, s]), np.array([-w, w])) if weight
+                       else (r[None], s[None], w[None]))
+    P = len(rows)
+    p, k = np.arange(P)[:, None], np.arange(wpk.shape[1])
+    A = np.zeros((P, d, d, k.size), dtype=complex)
+    A[p, rows, cols, k] = wpk
+    A[p, cols, rows, k] = wpk.conj()
+    A = A.reshape(-1, k.size)
+    # F_pk = a e_rs + conj(a) e_sr, so Tr(W F_k W F_l) is the sum over p of
+    # 2 Re(a_k a_l W[s_k, r_l] W[s_l, r_k] + a_k conj(a_l) W[s_k, s_l] W[r_l, r_k])
+    a = np.where(rows == cols, 0.5 * wpk, wpk)[:, :, None]
+
+    def at(i, j):  # flat indices of W[p, i_k, j_l]
+        return (p * d + i)[:, :, None] * d + j[:, None, :]
+
+    aT = a.swapaxes(1, 2)
+    plan = (r, s, w, A, A.conj(), np.array([at(cols, rows), at(cols, cols)]),
+            np.array([at(cols, rows), at(rows, rows)]).swapaxes(2, 3),
+            2.0 * np.array([a * aT, a * aT.conj()]))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 class LogDetBarrier:
-    """Minimize Tr(K F(x)) subject to F(x) > 0, where F(x) is block
-    diagonal with blocks F0[p] + sum_k x_k F_pk, F_pk the Hermitian matrix
-    with w[p, k] at (rows[p, k], cols[p, k]).
+    """Minimize Tr(K F_n(x)) subject to F_n(x) > 0 for each problem n of a
+    stack, where F_n(x) is block diagonal with blocks F0[n, p] + sum_k x_k
+    F_pk, the F_pk those of plan (_lmi_plan).  The problems share K and the
+    F_pk.
 
     parts and grad_hess are barrier_descent's callbacks for -log det F(x),
     whose value and domain come from one Cholesky.  With W = F(x)^-1 its
     gradient is -Tr(W F_k) and its Hessian Tr(W F_k W F_l) (Boyd &
     Vandenberghe, section 11.6); each F_pk has at most two nonzero entries,
-    so the Hessian is gathered from W by index.
+    so the Hessian is gathered from W by index.  A point x belongs to
+    problem owner; a stack of points X has row i in problem owner[i].
+    Every stacked product is a stack of the one-point products, so each row
+    gets the bits it would get alone.
     """
 
-    def __init__(self, F0, K, rows, cols, w):
-        P, d, _ = F0.shape
-        p, k = np.arange(P)[:, None], np.arange(w.shape[1])
-        A = np.zeros(F0.shape + k.shape, dtype=complex)
-        A[p, rows, cols, k] = w
-        A[p, cols, rows, k] = w.conj()
-        self._F0, self._A = F0, A.reshape(-1, k.size)
-        self._Ac = self._A.conj()
-        self._c = self._traces(K)
+    def __init__(self, F0, K, plan):
+        self._F0 = F0
+        *_, self._A, self._Ac, self._ix, self._iy, self._coef = plan
+        self._c = (K.ravel() @ self._Ac).real  # Tr(K F_k)
         self._last = None, None
-        # F_pk = a e_rs + conj(a) e_sr, so Tr(W F_k W F_l) is the sum over p of
-        # 2 Re(a_k a_l W[s_k, r_l] W[s_l, r_k] + a_k conj(a_l) W[s_k, s_l] W[r_l, r_k])
-        a = np.where(rows == cols, 0.5 * w, w)[:, :, None]
 
-        def at(i, j):  # flat indices of W[p, i_k, j_l]
-            return (p * d + i)[:, :, None] * d + j[:, None, :]
+    def matrix(self, x: np.ndarray, owner=0) -> np.ndarray:
+        """The diagonal blocks of F(x), shape (P, d, d), or (n, P, d, d) for a stack."""
+        if x.ndim == 1:
+            return self._F0[owner] + (self._A @ x).reshape(self._F0.shape[1:])
+        return self._F0[owner] + (self._A @ x[:, :, None]).reshape(x.shape[:1] + self._F0.shape[1:])
 
-        self._ix = np.array([at(cols, rows), at(cols, cols)])
-        self._iy = np.array([at(cols, rows), at(rows, rows)]).swapaxes(2, 3)
-        aT = a.swapaxes(1, 2)
-        self._coef = 2.0 * np.array([a * aT, a * aT.conj()])
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """The diagonal blocks of F(x), shape (P, d, d)."""
-        return self._F0 + (self._A @ x).reshape(self._F0.shape)
-
-    def _traces(self, X: np.ndarray) -> np.ndarray:
-        """Tr(X F_k) for every k, X Hermitian and shaped like F0."""
-        return (X.ravel() @ self._Ac).real
-
-    def parts(self, x: np.ndarray):
-        F = self.matrix(x)
+    def parts(self, x: np.ndarray, owner=0):
+        F = self.matrix(x, owner)
         self._last = x, F  # barrier_descent takes grad_hess where it last took parts
+        if x.ndim == 2:
+            return (x[:, None, :] @ self._c[:, None])[:, 0, 0], _neg_log_det(F)
         try:
             L = np.linalg.cholesky(F)
         except np.linalg.LinAlgError:
             return float(self._c @ x), np.inf
         return float(self._c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
 
-    def grad_hess(self, x: np.ndarray, t: float):
+    def grad_hess(self, x: np.ndarray, t, owner=0):
         x_last, F = self._last
-        W = np.linalg.inv(F if x is x_last else self.matrix(x))
-        H = (self._coef * W.take(self._ix) * W.take(self._iy)).real.sum(axis=(0, 1))
-        return self._c - t * self._traces(W), t * H
+        W = np.linalg.inv(F if x is x_last else self.matrix(x, owner))
+        if x.ndim == 1:
+            H = (self._coef * W.take(self._ix) * W.take(self._iy)).real.sum(axis=(0, 1))
+            return self._c - t * (W.ravel() @ self._Ac).real, t * H
+        W = W.reshape(len(x), -1)
+        H = (self._coef * W.take(self._ix, axis=1) * W.take(self._iy, axis=1)).real.sum(axis=(1, 2))
+        return (self._c - t[:, None] * (W[:, None, :] @ self._Ac)[:, 0].real,
+                t[:, None, None] * H)
 
 
 def weight_barrier(R: np.ndarray, G: np.ndarray, blocks):
@@ -226,73 +376,70 @@ def weight_barrier(R: np.ndarray, G: np.ndarray, blocks):
     LMI diag(R + WEIGHT_RIDGE*I - B, B) > 0; the ridge keeps an interior for
     rank-deficient R.  Returns (problem, start), the start
     0.5*max(lambda_min(R + WEIGHT_RIDGE*I), WEIGHT_RIDGE)*I being feasible
-    for every partition."""
-    d = R.shape[0]
-    r, s, w = _hermitian_coordinates(blocks)
+    for every partition.  Given a stack of R, one problem each and a stack
+    of starts."""
+    d = R.shape[-1]
+    plan = _lmi_plan(tuple(map(tuple, blocks)), d, True)
+    r, s = plan[:2]
     Re = R + WEIGHT_RIDGE * np.eye(d)
+    F0 = np.zeros(Re.shape[:-2] + (2, d, d), dtype=Re.dtype)
+    F0[..., 0, :, :] = Re
     Z = np.zeros((d, d))
-    problem = LogDetBarrier(np.array([Re, Z]), np.array([Z, -G]),
-                            np.array([r, r]), np.array([s, s]), np.array([-w, w]))
-    return problem, 0.5 * max(float(np.linalg.eigvalsh(Re)[0]), WEIGHT_RIDGE) * (r == s)
+    problem = LogDetBarrier(F0.reshape(-1, 2, d, d), np.array([Z, -G]), plan)
+    least = np.maximum(np.linalg.eigvalsh(Re)[..., 0], WEIGHT_RIDGE)
+    return problem, 0.5 * least[..., None] * (r == s)
 
 
 def robustness_barrier(R: np.ndarray, G: np.ndarray, blocks):
     """min Tr(C G) over block-diagonal C >= R as the LMI C - R > 0.  Returns
     (problem, start), the start pinch(R) + (lambda_max(R - pinch R)_+ + 1/2)*I
-    being feasible; pinch keeps the diagonal blocks."""
-    r, s, w = _hermitian_coordinates(blocks)
-    problem = LogDetBarrier(-R[None], G[None], r[None], s[None], w[None])
-    pinched = (w.conj() * R[r, s]).real
-    off = -problem.matrix(pinched)[0]  # R - pinch(R)
-    return problem, pinched + (max(float(np.linalg.eigvalsh(off)[-1]), 0.0) + 0.5) * (r == s)
+    being feasible; pinch keeps the diagonal blocks.  Given a stack of R,
+    one problem each and a stack of starts."""
+    d = R.shape[-1]
+    plan = _lmi_plan(tuple(map(tuple, blocks)), d, False)
+    r, s, w = plan[:3]
+    problem = LogDetBarrier(-R.reshape(-1, 1, d, d), G[None], plan)
+    pinched = (w.conj() * R[..., r, s]).real
+    owner = np.arange(len(R)) if R.ndim == 3 else 0
+    off = -problem.matrix(pinched, owner)[..., 0, :, :]  # R - pinch(R)
+    top = np.maximum(np.linalg.eigvalsh(off)[..., -1], 0.0)
+    return problem, pinched + (top + 0.5)[..., None] * (r == s)
 
 
 def max_weight_diagonal(R: np.ndarray):
     """Maximize sum(w) subject to 0 <= diag(w) <= R + WEIGHT_RIDGE*I: the
-    singleton blocks of weight_barrier, G = I.  Returns (w, iterations)."""
-    d = R.shape[0]
+    singleton blocks of weight_barrier, G = I.  Returns (w, iterations), or
+    a list of them for a stack of R."""
+    d = R.shape[-1]
     problem, w = weight_barrier(R, np.eye(d), [(k,) for k in range(d)])
     return barrier_descent(w, problem.grad_hess, problem.parts)
 
 
 def min_dominating_diagonal(R: np.ndarray):
     """Minimize sum(y) subject to diag(y) >= R: the singleton blocks of
-    robustness_barrier, G = I.  Returns (y, iterations)."""
-    d = R.shape[0]
+    robustness_barrier, G = I.  Returns (y, iterations), or a list of them
+    for a stack of R."""
+    d = R.shape[-1]
     problem, y = robustness_barrier(R, np.eye(d), [(k,) for k in range(d)])
     return barrier_descent(y, problem.grad_hess, problem.parts)
 
 
-def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000):
-    """Minimize a smooth convex function f over the probability simplex by
-    exponentiated-gradient descent with backtracking (Beck & Teboulle, Oper.
-    Res. Lett. 31, 2003).
-
-    values(Q) evaluates f at each row of a (k, d) stack of simplex points and
-    returns (their values, state); gradient(state, j) returns the gradient of
-    f at row j of the stack that state came from, and is called only at the
-    points where a step is taken.  Each backtracking round tries the step
-    sizes eta and eta/2 from the same point in one values call and takes the
-    first that does not raise the value (eta alone once eta/2 <= 1e-14), so
-    the step sizes are tried in the same order as one at a time.  Returns
-    (q, value, iterations, converged).  When no step size decreases the
-    value, converged says whether the Frank-Wolfe gap <g, q> - min g is at
-    most MIRROR_GAP.
-    """
+def _mirror_path(d, max_iter):
+    """mirror_descent_simplex for one problem, as a generator of its requests."""
     q = np.full(d, 1.0 / d)
-    vals, state = values(q[None])
+    vals, state = yield "values", q[None]
     val, row = float(vals[0]), 0
     eta = 1.0
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        g = gradient(state, row)
+        g = yield "gradient", state, row
         step = g - g.min()  # shift for numerical stability of exp
         while eta > 1e-14:
             etas = [eta, 0.5 * eta] if 0.5 * eta > 1e-14 else [eta]
             trials = np.maximum(q * np.exp(-np.array(etas)[:, None] * step), MIRROR_FLOOR)
             trials /= trials.sum(axis=1, keepdims=True)
-            tvals, state = values(trials)
+            tvals, state = yield "values", trials
             taken = [j for j, v in enumerate(tvals.tolist()) if v <= val + 1e-15]
             if taken:
                 break
@@ -311,3 +458,46 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000):
         else:
             stall = 0
     return q, val, it, stall >= 5
+
+
+def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, problems=None):
+    """Minimize a smooth convex function f over the probability simplex by
+    exponentiated-gradient descent with backtracking (Beck & Teboulle, Oper.
+    Res. Lett. 31, 2003).
+
+    values(Q) evaluates f at each row of a (k, d) stack of simplex points and
+    returns (their values, state); gradient(state, j) returns the gradient of
+    f at row j of the stack that state came from, and is called only at the
+    points where a step is taken.  Each backtracking round tries the step
+    sizes eta and eta/2 from the same point in one values call and takes the
+    first that does not raise the value (eta alone once eta/2 <= 1e-14), so
+    the step sizes are tried in the same order as one at a time.  Returns
+    (q, value, iterations, converged).  When no step size decreases the
+    value, converged says whether the Frank-Wolfe gap <g, q> - min g is at
+    most MIRROR_GAP.
+
+    With problems=n it minimizes n functions, each as it would alone, and
+    returns a list of their n tuples.  Several problems are evaluated
+    together (_drive): values(Q, owner) then evaluates row i of Q for
+    problem owner[i], and gradient(state, J) returns the gradients at the
+    rows J; a lone one gets the one-problem calls, which are problem 0's.
+    """
+    paths = [_mirror_path(d, max_iter) for _ in range(problems or 1)]
+    one = {"values": values, "gradient": gradient}
+    if len(paths) == 1:
+        found = _drive(paths, one, None)
+        return found[0] if problems is None else found
+
+    # a reply to a values request locates its rows by (state, first row);
+    # every gradient request of a round is at rows of the last round's call
+    def many_values(requests, owners):
+        counts = [len(Q) for Q, in requests]
+        vals, state = values(np.concatenate([Q for Q, in requests]), np.repeat(owners, counts))
+        firsts = np.cumsum([0] + counts[:-1]).tolist()
+        return [(vals[a:a + k], (state, a)) for a, k in zip(firsts, counts)]
+
+    def many_gradient(requests, owners):
+        (state, _), _ = requests[0]
+        return list(gradient(state, np.array([a + j for (_, a), j in requests])))
+
+    return _drive(paths, one, {"values": many_values, "gradient": many_gradient})

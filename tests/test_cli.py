@@ -156,6 +156,14 @@ def test_counts_below_one_exit_2(capsys):
         assert "at least 1" in captured.err, argv
 
 
+def test_axioms_reject_negative_seed_exit_2(capsys):
+    # both the axiom campaign and, at d = 2, the oracle campaign check it
+    assert main(["axioms", "--measure", "l1", "--seed", "-1", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_example1_rejects_mu_before_printing(capsys):
     assert main(["example1", "--mu", "0.5", "1.0", "--x-steps", "3"]) == 2
     captured = capsys.readouterr()

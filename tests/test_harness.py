@@ -20,6 +20,7 @@ from superposition.errors import (
     UnknownMeasure,
     UnknownOracle,
 )
+from superposition import harness
 from superposition.harness import MEASURES, oracle_weight_grid, report_json, report_table
 
 BASIS2 = constant_overlap_basis(2, 0.5)
@@ -93,6 +94,36 @@ def test_campaigns_reject_trials_below_one():
             run_axiom_campaign("l1", BASIS2, trials=trials)
         with pytest.raises(ParameterOutOfRange):
             run_oracle_campaign("weight", "weight_grid", trials=trials)
+
+
+def test_campaigns_reject_seeds_that_are_not_nonnegative_integers():
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ParameterOutOfRange, match="seed must be an integer >= 0"):
+            run_axiom_campaign("l1", BASIS2, trials=1, seed=seed)
+        with pytest.raises(ParameterOutOfRange, match="seed must be an integer >= 0"):
+            run_oracle_campaign("weight", "weight_grid", trials=1, seed=seed)
+
+
+@pytest.mark.parametrize("measure, d", [("rel_ent", 2), ("weight", 3), ("robustness", 3),
+                                        ("l1_roof", 2)])
+def test_campaign_reports_do_not_depend_on_evaluating_states_together(monkeypatch, measure, d):
+    basis = constant_overlap_basis(d, 0.5)
+
+    def reports():
+        out = run_axiom_campaign(measure, basis, trials=6, seed=2)
+        oracle = next((o for o, (m, _) in harness.ORACLES.items() if m == measure), None)
+        if oracle is not None:
+            out.append(run_oracle_campaign(measure, oracle, trials=4, seed=2))
+        return report_json(out)
+
+    together = reports()
+
+    def one_at_a_time(cfg, states, basis, extra_starts=None):
+        extras = extra_starts or [()] * len(states)
+        return [harness._evaluate(cfg, rho, basis, extra) for rho, extra in zip(states, extras)]
+
+    monkeypatch.setattr(harness, "_evaluate_many", one_at_a_time)
+    assert reports() == together
 
 
 def _weight_grid_loop(rho, basis, steps=2001):

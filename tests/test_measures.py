@@ -38,7 +38,7 @@ from superposition import (
     rho_x,
     state_from_coefficients,
 )
-from superposition import measures
+from superposition import measures, solvers
 from superposition.basis import matrix_from_json
 from superposition.errors import (
     ComplexBasis,
@@ -440,3 +440,99 @@ def test_monotone_under_free_channels():
         out = apply(chan, rho)
         assert m_l1(out, basis).value <= m_l1(rho, basis).value + 1e-9
         assert m_weight(out, basis).value <= m_weight(rho, basis).value + 1e-6
+
+
+def _stacked_cases():
+    """(basis, states) groups for the many-state forms: constant-overlap
+    bases at d = 2, 3 near both endpoints, each with full-rank, pure,
+    rank-deficient and free states; random_pure(2, 20), whose rel-ent solve
+    runs all 2000 iterations; random_density(8, 8, 1073), where no rel-ent
+    step decreases; and the cond(V) ~ 194 robustness case."""
+    for d in (2, 3):
+        for mu in (1.0 / (1 - d) + 1e-3, 0.5, 1.0 - 1e-3):
+            basis = constant_overlap_basis(d, mu)
+            states = [random_density(d, d, s) for s in range(3)] + [
+                random_pure(d, 1).density(), random_density(d, d - 1, 4), random_free(basis, 5)]
+            if (d, mu) == (2, 0.5):
+                states.append(random_pure(2, 20).density())
+            yield basis, states
+    yield _random_complex_basis(8, 5073), [random_density(8, 8, s) for s in (1073, 1, 2)]
+    yield _random_complex_basis(4, 202), [random_density(4, 4, s) for s in (102, 3, 4)]
+
+
+def _same_certificate(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_certificate(a[k], b[k]) for k in a)
+    if isinstance(a, DensityMatrix):
+        return np.array_equal(a.matrix, b.matrix)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("many, one", [(measures._m_rel_ent_many, m_rel_ent),
+                                       (measures._m_weight_many, m_weight),
+                                       (measures._m_robustness_many, m_robustness)])
+def test_many_state_forms_equal_one_state_calls(many, one):
+    solved_together = 0
+    for basis, states in _stacked_cases():
+        results = many(states, basis)
+        assert len(results) == len(states)
+        for rho, res in zip(states, results):
+            alone = one(rho, basis)
+            assert repr(res.value) == repr(alone.value)
+            assert _same_certificate(res.certificate, alone.certificate)
+            assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+            solved_together += 1
+    assert solved_together == 6 * 6 + 1 + 3 + 3
+
+
+def test_barrier_stack_with_some_infeasible_trial_points(monkeypatch):
+    # near the Gram-singular endpoint some members' trial points leave the
+    # domain while others' stay in it, so a stacked Cholesky raises and the
+    # members are told apart; every member must still follow its lone path
+    basis = constant_overlap_basis(3, 1.0 - 1e-3)
+    R = np.stack([coefficients_of(random_density(3, 3, s), basis).entries for s in range(8)])
+    mixed = []
+    neg_log_det = solvers._neg_log_det
+
+    def recording(F):
+        out = neg_log_det(F)
+        mixed.append(np.isinf(out).any() and np.isfinite(out).any())
+        return out
+
+    monkeypatch.setattr(solvers, "_neg_log_det", recording)
+    for solve in (solvers.max_weight_diagonal, solvers.min_dominating_diagonal):
+        for (x, iters), (x1, iters1) in zip(solve(R), [solve(Ri) for Ri in R]):
+            assert np.array_equal(x, x1) and iters == iters1
+    assert any(mixed)
+
+
+def test_neg_log_det_tells_apart_members_cholesky_rejects():
+    # the second member is indefinite by less than eigvalsh's cut, so the
+    # stacked Cholesky of the kept members raises and they go one at a time
+    F = np.array([np.diag([2.0, 3.0]), np.diag([1.0, -1e-13]), np.diag([1.0, -1.0]),
+                  np.diag([4.0, 0.5])])[:, None].astype(complex)
+    out = solvers._neg_log_det(F)
+    assert out[1] == out[2] == np.inf
+    assert out[0] == solvers._neg_log_det(F[:1])[0] == pytest.approx(-math.log(6.0))
+    assert out[3] == solvers._neg_log_det(F[3:])[0] == pytest.approx(-math.log(2.0))
+
+
+def test_drive_throws_a_singular_solve_into_its_own_problem_only():
+    # a stacked solve raises if one matrix is singular; the driver then
+    # solves one at a time and throws the error into that problem alone,
+    # at the yield where a lone problem gets it too
+    def path(H):
+        try:
+            x = yield "solve", H, np.ones(2)
+        except np.linalg.LinAlgError:
+            return "singular"
+        return x
+
+    Hs = [np.eye(2), np.zeros((2, 2)), np.array([[2.0, 1.0], [1.0, 3.0]])]
+    one = {"solve": np.linalg.solve}
+    alone = [solvers._drive([path(H)], one, None)[0] for H in Hs]
+    together = solvers._drive([path(H) for H in Hs], one, {"solve": solvers._solve_many})
+    assert alone[1] == together[1] == "singular"
+    assert np.array_equal(alone[0], together[0]) and np.array_equal(alone[2], together[2])

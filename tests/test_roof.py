@@ -408,3 +408,40 @@ def test_cached_starts_give_the_same_roof_cold_and_warm(roof):
     assert run() == cold
     _seeded_isometry.cache_clear()
     assert run() == cold
+
+
+def test_extra_start_does_not_displace_a_random_start():
+    # an extra start must add to the random starts, not take the place of
+    # one: here the last random start finds 1.5762727700813386, and with it
+    # displaced by the identity passed again the roof was 1.5825793801390444
+    rho, basis = random_density(3, 3, 9), constant_overlap_basis(3, 0.5)
+    for restarts in (8, 9):
+        base = m_l1_roof(rho, basis, RoofOptions(restarts=restarts))
+        more = m_l1_roof(rho, basis, RoofOptions(restarts=restarts,
+                                                 extra_starts=(np.eye(9, 3),)))
+        assert more.value <= base.value == 1.5762727700813386
+
+
+def _more_effort_cases():
+    for roof, ds, restarts in ((m_l1_roof, (2, 3), 4), (m_rank, (2, 3), 4),
+                               (m_rel_ent_roof, (2,), 2)):
+        for d in ds:
+            for seed in range(2):
+                yield roof, d, seed, restarts
+
+
+@pytest.mark.parametrize("roof, d, seed, restarts", list(_more_effort_cases()))
+def test_more_effort_never_gives_a_worse_roof(roof, d, seed, restarts):
+    # an extra start or a higher restart count only adds starts, and every
+    # winner is the least value found, so no roof rises by more than the
+    # ROOF_GAP within which values tie
+    rho, basis = random_density(d, d, 50 + seed), constant_overlap_basis(d, 0.5)
+    r = d
+    base = roof(rho, basis, RoofOptions(ensemble_size_cap=1, restarts=restarts, seed=seed))
+    extra = random_isometry(r + 1, r, 77 + seed)
+    for opts in (RoofOptions(ensemble_size_cap=1, restarts=restarts + 1, seed=seed),
+                 RoofOptions(ensemble_size_cap=1, restarts=restarts, seed=seed,
+                             extra_starts=(extra,)),
+                 RoofOptions(ensemble_size_cap=1, restarts=restarts, seed=seed,
+                             extra_starts=(np.eye(r, r),))):
+        assert roof(rho, basis, opts).value <= base.value + ROOF_GAP
