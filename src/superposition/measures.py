@@ -313,7 +313,8 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
     isometries, which depend only on (n, r, opts.seed) and are built once
     per process).  Each start shape's stack is evaluated once, as the start
     check and, given G, as the first step of the shape's lockstep
-    Riemannian descent (a zero G stops every search at its start); given
+    Riemannian descent, which tries its step ladder in pairs, two step
+    sizes per stacked call (a zero G stops every search at its start); given
     G = None, each start gets a retracted pattern search of at most
     opts.max_evals evaluations.  Both move T, with polar retraction, and
     accept only decreases.  lower is a certified lower bound on the roof.
@@ -409,6 +410,12 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10)
     accepted steps, after 5 steps that each gain < 1e-11, or when its
     step falls to 1e-13.  Returns (T, value, evaluations) per start, in
     order; evaluations counts trial points only.
+
+    The ladder is tried in pairs: each round evaluates step and step/2 (if
+    above 1e-13) of every start from the same T in one stacked call, and a
+    start takes the first trial that lowers its value.  Each stack row gets
+    the bits it gets alone, so every T, value and evaluation count (step/2
+    counted only when step fails) is that of one trial per round.
     """
     found, idx = [None] * len(T), np.arange(len(T))
     PG = _project_stiefel_tangent(T, G)
@@ -424,9 +431,17 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10)
             idx, evals, iters = idx[keep], evals[keep], iters[keep]
             if not idx.size:
                 return found
-        cand = _retract(T - step[:, None, None] * PG)
+        k, half = len(T), step * 0.5
+        two = np.flatnonzero(half > 1e-13)
+        rows = np.concatenate((np.arange(k), two))
+        cand = _retract(T[rows] - np.concatenate((step, half[two]))[:, None, None] * PG[rows])
         cval, cG = value_grad(cand)
-        evals += 1
+        # a start whose step fails takes its step/2 trial, if it has one
+        redo = ~(cval[two] < val[two] - 1e-14)
+        pick = np.arange(k)
+        pick[two[redo]] = k + np.flatnonzero(redo)
+        cand, cval, cG, step = cand[pick], cval[pick], cG[pick], np.where(pick >= k, half, step)
+        evals += 1 + (pick >= k)
         ok = cval < val - 1e-14
         stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
         iters += ok

@@ -22,6 +22,8 @@ projection onto the free simplex uses exponentiated-gradient (mirror)
 descent, ``mirror_descent_simplex``: it evaluates the objective on stacks of
 points, takes the gradient only where it steps, and tries the step sizes of
 its backtracking in pairs, in the order it would try them one at a time.
+The roof's Stiefel descent (``measures._stacked_riemannian_descent``) pairs
+its backtracking the same way: both descents try two step sizes per call.
 
 Each solver is written once, for one problem, as a generator that yields
 its kernel requests (``_barrier_path``, ``_mirror_path``).  ``_drive`` runs
@@ -167,10 +169,9 @@ def _feasible_step(x, fx, dx, halvings):
     return x, fx, 0
 
 
-def _barrier_path(x):
+def _barrier_path(x, c):
     """barrier_descent for one problem, as a generator of its requests."""
     fx = yield "parts", x
-    c = (yield "grad_hess", x, 0.0)[0]
     total = 0
     raises = 0
     t = BARRIER_T0
@@ -210,7 +211,7 @@ def _barrier_path(x):
     return x, total
 
 
-def barrier_descent(x, grad_hess, parts):
+def barrier_descent(x, grad_hess, parts, c):
     """Predictor-corrector barrier path for a linear objective c.x (Boyd &
     Vandenberghe, Convex Optimization, sections 11.3-11.5).
 
@@ -229,9 +230,8 @@ def barrier_descent(x, grad_hess, parts):
 
     parts(x) returns the objective and the log-barrier term at x, the latter
     +inf outside the domain; grad_hess(x, t) returns the gradient and
-    Hessian of f_t = objective + t * barrier, so grad_hess(x, 0.0) returns
-    c.  Returns (x, total Newton iterations), predictor and polish steps
-    included.
+    Hessian of f_t = objective + t * barrier; c is shared by all problems.
+    Returns (x, total Newton iterations), predictor and polish included.
 
     Given a stack of starts x, one row per problem, it follows every path
     as it would alone and returns a list of those pairs.  Several problems
@@ -242,7 +242,7 @@ def barrier_descent(x, grad_hess, parts):
     """
     one = {"parts": parts, "grad_hess": grad_hess, "solve": np.linalg.solve}
     if x.ndim == 1:
-        return _drive([_barrier_path(x)], one, None)[0]
+        return _drive([_barrier_path(x, c)], one, None)[0]
 
     def many_parts(requests, owners):
         obj, barrier = parts(np.stack([x for x, in requests]), owners)
@@ -252,7 +252,7 @@ def barrier_descent(x, grad_hess, parts):
         X, T = np.stack([x for x, _ in requests]), np.array([t for _, t in requests])
         return list(zip(*grad_hess(X, T, owners)))
 
-    return _drive([_barrier_path(row) for row in x], one,
+    return _drive([_barrier_path(row, c) for row in x], one,
                   {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
 
 
@@ -333,13 +333,14 @@ class LogDetBarrier:
     so the Hessian is gathered from W by index.  A point x belongs to
     problem owner; a stack of points X has row i in problem owner[i].
     Every stacked product is a stack of the one-point products, so each row
-    gets the bits it would get alone.
+    gets the bits it would get alone.  c, the objective's gradient
+    Tr(K F_k), is barrier_descent's c.
     """
 
     def __init__(self, F0, K, plan):
         self._F0 = F0
         *_, self._A, self._Ac, self._ix, self._iy, self._coef = plan
-        self._c = (K.ravel() @ self._Ac).real  # Tr(K F_k)
+        self.c = (K.ravel() @ self._Ac).real  # Tr(K F_k)
         self._last = None, None
 
     def matrix(self, x: np.ndarray, owner=0) -> np.ndarray:
@@ -352,22 +353,22 @@ class LogDetBarrier:
         F = self.matrix(x, owner)
         self._last = x, F  # barrier_descent takes grad_hess where it last took parts
         if x.ndim == 2:
-            return (x[:, None, :] @ self._c[:, None])[:, 0, 0], _neg_log_det(F)
+            return (x[:, None, :] @ self.c[:, None])[:, 0, 0], _neg_log_det(F)
         try:
             L = np.linalg.cholesky(F)
         except np.linalg.LinAlgError:
-            return float(self._c @ x), np.inf
-        return float(self._c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
+            return float(self.c @ x), np.inf
+        return float(self.c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
 
     def grad_hess(self, x: np.ndarray, t, owner=0):
         x_last, F = self._last
         W = np.linalg.inv(F if x is x_last else self.matrix(x, owner))
         if x.ndim == 1:
             H = (self._coef * W.take(self._ix) * W.take(self._iy)).real.sum(axis=(0, 1))
-            return self._c - t * (W.ravel() @ self._Ac).real, t * H
+            return self.c - t * (W.ravel() @ self._Ac).real, t * H
         W = W.reshape(len(x), -1)
         H = (self._coef * W.take(self._ix, axis=1) * W.take(self._iy, axis=1)).real.sum(axis=(1, 2))
-        return (self._c - t[:, None] * (W[:, None, :] @ self._Ac)[:, 0].real,
+        return (self.c - t[:, None] * (W[:, None, :] @ self._Ac)[:, 0].real,
                 t[:, None, None] * H)
 
 
@@ -412,7 +413,7 @@ def max_weight_diagonal(R: np.ndarray):
     a list of them for a stack of R."""
     d = R.shape[-1]
     problem, w = weight_barrier(R, np.eye(d), [(k,) for k in range(d)])
-    return barrier_descent(w, problem.grad_hess, problem.parts)
+    return barrier_descent(w, problem.grad_hess, problem.parts, problem.c)
 
 
 def min_dominating_diagonal(R: np.ndarray):
@@ -421,7 +422,7 @@ def min_dominating_diagonal(R: np.ndarray):
     for a stack of R."""
     d = R.shape[-1]
     problem, y = robustness_barrier(R, np.eye(d), [(k,) for k in range(d)])
-    return barrier_descent(y, problem.grad_hess, problem.parts)
+    return barrier_descent(y, problem.grad_hess, problem.parts, problem.c)
 
 
 def _mirror_path(d, max_iter):

@@ -298,6 +298,26 @@ def test_barrier_path_step_count():
     assert steps <= 1001 // 2
 
 
+def test_barrier_path_asks_no_gradient_at_zero_weight(monkeypatch):
+    # the objective's gradient c comes from the problem, so no grad_hess
+    # (one inv and one Hessian gather) is spent at t = 0 just to read it
+    weights = []
+    grad_hess = solvers.LogDetBarrier.grad_hess
+
+    def recording(self, x, t, owner=0):
+        weights.append(np.min(t))
+        return grad_hess(self, x, t, owner)
+
+    monkeypatch.setattr(solvers.LogDetBarrier, "grad_hess", recording)
+    basis = constant_overlap_basis(3, 0.5)
+    measures._m_weight_many([random_density(3, 3, s) for s in range(3)], basis)
+    m_robustness(random_density(3, 3, 0), basis)
+    m_weight_generalized(random_density(4, 4, 0),
+                         block_projectors(constant_overlap_basis(4, 0.5),
+                                          BlockPartition(((0, 1), (2, 3)))))
+    assert weights and min(weights) > 0.0
+
+
 def test_weight_certificate():
     rho, basis = rho_x(0.25, 0.5)
     res = m_weight(rho, basis)

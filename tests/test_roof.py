@@ -445,3 +445,124 @@ def test_more_effort_never_gives_a_worse_roof(roof, d, seed, restarts):
                  RoofOptions(ensemble_size_cap=1, restarts=restarts, seed=seed,
                              extra_starts=(np.eye(r, r),))):
         assert roof(rho, basis, opts).value <= base.value + ROOF_GAP
+
+
+# The roof descent as it was when it tried one step size per stacked call:
+# the reference that the paired trials must reproduce bit for bit.  Each
+# start's result also names the rule that stopped it.
+def _one_trial_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10):
+    found, idx = [None] * len(T), np.arange(len(T))
+    PG = measures._project_stiefel_tangent(T, G)
+    evals, iters, stall = np.zeros_like(idx), np.zeros_like(idx), np.zeros_like(idx)
+    step = np.ones(len(T))
+    stop = np.linalg.norm(PG, axis=(-2, -1)) < gtol
+    why = np.full(len(T), "gtol")
+    while True:
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                found[idx[j]] = (T[j], float(val[j]), int(evals[j]), str(why[j]))
+            keep = ~stop
+            T, val, PG, step, stall = T[keep], val[keep], PG[keep], step[keep], stall[keep]
+            idx, evals, iters, why = idx[keep], evals[keep], iters[keep], why[keep]
+            if not idx.size:
+                return found
+        cand = measures._retract(T - step[:, None, None] * PG)
+        cval, cG = value_grad(cand)
+        evals += 1
+        ok = cval < val - 1e-14
+        stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
+        iters += ok
+        val = np.where(ok, cval, val)
+        T = np.where(ok[:, None, None], cand, T)
+        PG = np.where(ok[:, None, None], measures._project_stiefel_tangent(cand, cG), PG)
+        step = np.where(ok, np.minimum(step * 2.0, 10.0), step * 0.5)
+        stop = np.where(ok, (stall >= 5) | (iters >= max_iter)
+                        | (np.linalg.norm(PG, axis=(-2, -1)) < gtol), step <= 1e-13)
+        why = np.select([~ok, stall >= 5, iters >= max_iter], ["floor", "stall", "max_iter"],
+                        "gtol")
+
+
+def _descent_stacks(monkeypatch, rho, basis, opts, value_grad):
+    """(value_grad, T, val, G) of every stack the roof engine hands to its
+    descent, every start searched (lower = -1 keeps each short of the bound)."""
+    stacks = []
+
+    def recording(*args):
+        stacks.append(args)
+        return [(T0, 1.0, 0) for T0 in args[1]]
+
+    monkeypatch.setattr(measures, "_stacked_riemannian_descent", recording)
+    measures._roof_engine(rho, basis, opts, value_grad=value_grad, lower=-1.0)
+    monkeypatch.undo()
+    return stacks
+
+
+def _paired_cases():
+    for d in (2, 3):
+        for cap in (1, None):
+            for seed in (0, 1):
+                yield "l1", d, cap, seed, CAMPAIGN_ROOF_OPTS["restarts"]
+    yield "rel_ent", 2, 1, 0, 4
+
+
+def test_paired_descent_equals_one_trial_at_a_time_reference(monkeypatch):
+    search = measures._stacked_riemannian_descent
+    stops = []
+    for cost, d, cap, seed, restarts in _paired_cases():
+        rho, basis = random_density(d, d, seed), constant_overlap_basis(d, 0.5)
+        opts = RoofOptions(ensemble_size_cap=cap, restarts=restarts)
+        for args in _descent_stacks(monkeypatch, rho, basis, opts, VALUE_GRADS[cost](basis)):
+            for max_iter in (400, 3):
+                want = _one_trial_descent(*args, max_iter=max_iter)
+                got = search(*args, max_iter=max_iter)
+                assert len(got) == len(want)
+                for (T, val, evals), (T0, val0, evals0, why) in zip(got, want):
+                    assert np.array_equal(T, T0) and val == val0 and evals == evals0
+                    stops.append((max_iter, why))
+    # every stop rule of the ladder is met: the step floor, the stall rule
+    # and, at the small cap, max_iter
+    assert {"floor", "stall"} <= {why for max_iter, why in stops if max_iter == 400}
+    assert (3, "max_iter") in stops
+
+
+def test_paired_descent_halves_the_value_grad_calls(monkeypatch):
+    # one d = 3 l1 roof search, every start searched: the paired ladder
+    # makes at most 0.7x the one-trial loop's value_grad calls, with the
+    # same result
+    rho, basis = random_density(3, 3, 0), constant_overlap_basis(3, 0.5)
+    opts = RoofOptions(ensemble_size_cap=1, **CAMPAIGN_ROOF_OPTS)
+    search = measures._stacked_riemannian_descent
+    runs = []
+    for descent in (search, lambda *args: [f[:3] for f in _one_trial_descent(*args)]):
+        calls = []
+
+        def counting(X):
+            calls.append(len(X))
+            return _l1_value_grad(X)
+
+        monkeypatch.setattr(measures, "_stacked_riemannian_descent", descent)
+        res = measures._roof_engine(rho, basis, opts, value_grad=counting, lower=-1.0)
+        runs.append((len(calls), res))
+    (paired, res), (one_trial, ref) = runs
+    assert paired <= 0.7 * one_trial
+    assert (res.value, res.iterations, res.converged) == (ref.value, ref.iterations,
+                                                         ref.converged)
+
+
+def test_stack_rows_get_the_bits_they_get_alone():
+    # the paired descent rests on this: each row of a 2k-row stack of
+    # _retract, _l1_value_grad or _rel_ent_value_grad is bit-identical to
+    # the row computed alone
+    rng = np.random.default_rng(3)
+    basis = constant_overlap_basis(2, 0.5)
+    kernels = [(measures._retract, (4, 2)), (_l1_value_grad, (3, 9)),
+               (lambda X: _rel_ent_value_grad(X, basis), (2, 4))]
+    for kernel, shape in kernels:
+        M = rng.standard_normal((8, *shape)) + 1j * rng.standard_normal((8, *shape))
+        stacked = kernel(M)
+        for j in range(len(M)):
+            alone = kernel(M[j:j + 1])
+            if isinstance(stacked, tuple):
+                assert all(np.array_equal(s[j], a[0]) for s, a in zip(stacked, alone))
+            else:
+                assert np.array_equal(stacked[j], alone[0])
