@@ -10,9 +10,12 @@ and a random complex basis, example1, the axiom campaign of every measure
 at d = 2, 3, the 18 axiom campaigns of bench/workloads.cli_campaign at seed
 1 (rel_ent, weight and robustness at d = 2, 3 and three mu each), and the
 cli_campaign input `measure rel_ent d=4 #2` of seed 4, whose solve runs out
-of iterations and exits 3) with PYTHONPATH=<root>/src
-and one BLAS thread, and compares exit code and stdout byte for byte,
-naming the top-level keys that differ when both stdouts are JSON objects.
+of iterations and exits 3) and the 13 campaigns of
+tests/test_acceptance.py's acceptance 05 (l1, rel_ent, robustness, weight,
+delta and l1_roof at d = 2, 3 and broken_l1 at d = 2; seed 1, 200 trials)
+as `axioms` commands, with PYTHONPATH=<root>/src and one BLAS thread, and
+compares exit code and stdout byte for byte, naming the top-level keys that
+differ when both stdouts are JSON objects.
 It also compares (repr(value), iterations, converged) and the certificate
 (each member's probability and vector, by repr) of every roof_search item of
 <root>/bench/workloads.py at seeds 7, 301 and 901.  Each seed's items run
@@ -40,6 +43,11 @@ from superposition import build_basis, random_density  # noqa: E402
 from superposition.harness import MEASURES  # noqa: E402
 
 ROOF_SEEDS = (7, 301, 901)
+# the axiom campaigns of acceptance 05 (tests/test_acceptance.py)
+ACCEPTANCE_05 = [["axioms", "--measure", name, "--d", str(d), "--trials", "200", "--seed", "1"]
+                 for name in ("l1", "rel_ent", "robustness", "weight", "delta", "l1_roof")
+                 for d in (2, 3)] + [["axioms", "--measure", "broken_l1", "--d", "2",
+                                      "--trials", "200", "--seed", "1"]]
 # the fields of a roof dump line after (seed, pass, item name)
 ROOF_FIELDS = ("value", "iterations", "converged", "certificate")
 CLI_FIELDS = ("exit code", "stdout")
@@ -166,7 +174,8 @@ def cli_commands(state: str, basis: str, state4: str, basis4: str) -> list:
                 "--trials", "20", "--seed", "1"]
                for name in ("rel_ent", "weight", "robustness") for d in (2, 3)
                for mu in (1.0 / (1 - d) + 1e-3, 0.5, 1.0 - 1e-3)]
-            + [["measure", "--state", state4, "--basis", basis4, "--measure", "rel_ent"]])
+            + [["measure", "--state", state4, "--basis", basis4, "--measure", "rel_ent"]]
+            + ACCEPTANCE_05)
 
 
 def main(argv) -> int:

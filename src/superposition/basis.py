@@ -61,19 +61,21 @@ def basis_from_json(obj: dict) -> SuperpositionBasis:
 def build_basis(columns: np.ndarray) -> SuperpositionBasis:
     """Validate the columns and assemble Gram matrix and dual families.
 
-    Raises NonUnitColumn if a column is not normalized and
-    LinearlyDependent if the Gram determinant is not positive.
+    Raises NonUnitColumn if a column is not normalized (or has an entry
+    that is not finite) and LinearlyDependent if the Gram determinant is
+    not positive.
     """
     V = np.array(columns, dtype=complex)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise NonUnitColumn(f"expected a square matrix, got shape {V.shape}")
     norms = np.linalg.norm(V, axis=0)
-    if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
+    # both checks are written so that a NaN or infinite entry fails them
+    if not np.max(np.abs(norms - 1.0)) <= UNIT_TOL:
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise NonUnitColumn(f"column {worst} has norm {norms[worst]!r}")
     G = V.conj().T @ V
     det = np.linalg.det(G)
-    if det.real <= DET_TOL:
+    if not det.real > DET_TOL:
         raise LinearlyDependent(f"Gram determinant {det.real:g} <= {DET_TOL:g}")
     return _assemble(V, G)
 

@@ -51,6 +51,7 @@ from .qstate import (
     state_from_coefficients,
 )
 from .qstate import CoefficientMatrix
+from .solvers import _drive
 
 # Roof searches inside campaigns run with reduced effort; the solver value
 # is an upper bound for any setting, so smaller budgets can only make the
@@ -215,22 +216,23 @@ def _sample_channel(family: str, basis: SuperpositionBasis, seed: int):
 # ---------------------------------------------------------------------------
 # axiom campaigns
 #
-# A trial is a generator: it yields lists of (state, extra_starts) pairs to
-# evaluate, is sent their MeasureResults, and returns its (matrix, lhs, rhs,
-# slack) records; slack > 0 is a violation.
+# A trial is a generator of solvers._drive requests: it yields
+# ("states", pairs), a list of (state, extra_starts) pairs to evaluate, is
+# sent their MeasureResults, and returns its (matrix, lhs, rhs, slack)
+# records; slack > 0 is a violation.
 
 
 def _free_and_resource_trial(cfg, basis, family, tol, ts):
     free = cfg.free_sampler(basis, ts)
     res = cfg.resource_sampler(basis, ts)
-    at_free, at_res = (r.value for r in (yield [(free, ()), (res, ())]))
+    at_free, at_res = (r.value for r in (yield "states", [(free, ()), (res, ())]))
     return [(free.matrix, at_free, tol, at_free - tol), (res.matrix, tol, at_res, tol - at_res)]
 
 
 def _channel_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts)
-    before, after = (r.value for r in (yield [(rho, ()), (apply(chan, rho), ())]))
+    before, after = (r.value for r in (yield "states", [(rho, ()), (apply(chan, rho), ())]))
     return [(rho.matrix, after, before, after - before - tol)]
 
 
@@ -238,7 +240,7 @@ def _selective_trial(cfg, basis, family, tol, ts):
     rho = cfg.resource_sampler(basis, ts)
     chan = _sample_channel(family, basis, ts + 1)
     outcomes = apply_selective(chan, rho)
-    before, *after = yield [(rho, ())] + [(out, ()) for _, out in outcomes]
+    before, *after = yield "states", [(rho, ())] + [(out, ()) for _, out in outcomes]
     avg = sum(p * res.value for (p, _), res in zip(outcomes, after))
     return [(rho.matrix, avg, before.value, avg - before.value - tol)]
 
@@ -254,35 +256,29 @@ def _mixture_trial(cfg, basis, family, tol, ts):
         # seed the mixture search with the concatenated component
         # ensembles, which form a valid decomposition of the mixture, so
         # the components are evaluated first
-        results = yield [(p, ()) for p in parts]
+        results = yield "states", [(p, ()) for p in parts]
         members = [(wi * p, phi) for wi, res in zip(w, results)
                    for p, phi in res.certificate.members]
-        mixed, = yield [(mix, (ensemble_warm_start(mix, members),))]
+        mixed, = yield "states", [(mix, (ensemble_warm_start(mix, members),))]
     else:
-        *results, mixed = yield [(p, ()) for p in parts] + [(mix, ())]
+        *results, mixed = yield "states", [(p, ()) for p in parts] + [(mix, ())]
     lhs = mixed.value
     rhs = sum(wi * res.value for wi, res in zip(w, results))
     return [(mix.matrix, lhs, rhs, lhs - rhs - tol)]
 
 
 def _run_trials(cfg, basis, trials) -> list:
-    """Run the trial generators together; returns each one's records.  In
-    each round the states that every unfinished trial asks for go through
-    one _evaluate_many call."""
-    found = [None] * len(trials)
-    asks = {i: next(trial) for i, trial in enumerate(trials)}
-    while asks:
-        pairs = [pair for ask in asks.values() for pair in ask]
+    """Run the trial generators together (solvers._drive); returns each
+    one's records.  In each round the states that every unfinished trial
+    asks for go through one _evaluate_many call."""
+    def evaluate(requests, owners):
+        pairs = [pair for ask, in requests for pair in ask]
         results = iter(_evaluate_many(cfg, [rho for rho, _ in pairs], basis,
                                       [extra for _, extra in pairs]))
-        replies = {i: [next(results) for _ in ask] for i, ask in asks.items()}
-        asks = {}
-        for i, reply in replies.items():
-            try:
-                asks[i] = trials[i].send(reply)
-            except StopIteration as stop:
-                found[i] = stop.value
-    return found
+        return [[next(results) for _ in ask] for ask, in requests]
+
+    return _drive(trials, {"states": lambda ask: evaluate([(ask,)], None)[0]},
+                  {"states": evaluate})
 
 
 def _report(axiom, measure, tol, note, trials) -> AxiomReport:
@@ -322,7 +318,7 @@ def run_axiom_campaign(measure: str, basis: SuperpositionBasis,
     """Run S1-S4 for one measure; returns a list of four AxiomReport.
 
     S1 uses the full trial count; S2-S4 cap at 50 trials.  The trials of
-    all four rows run together (_run_trials).  trials must be at least 1
+    all four rows run together (_run_trials).  trials must be an integer >= 1
     and seed an integer >= 0 (ParameterOutOfRange otherwise).
     """
     if measure not in MEASURES:
@@ -431,7 +427,7 @@ def run_oracle_campaign(measure: str, oracle: str, trials: int = 50,
                         seed: int = 0, tol: float = 1e-3) -> AxiomReport:
     """Compare the solver against brute force on random d=2 states (or the
     rho(x) family for the roof oracle).  The random states are evaluated
-    together (_evaluate_many).  trials must be at least 1 and seed an
+    together (_evaluate_many).  trials must be an integer >= 1 and seed an
     integer >= 0 (ParameterOutOfRange otherwise)."""
     if oracle not in ORACLES:
         raise UnknownOracle(oracle)

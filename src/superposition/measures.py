@@ -34,7 +34,7 @@ from .qstate import (
     rho_x_eigenvalues,
     weighted_eigvecs,
 )
-from .solvers import max_weight_diagonal, min_dominating_diagonal, mirror_descent_simplex
+from .solvers import _drive, max_weight_diagonal, min_dominating_diagonal, mirror_descent_simplex
 
 LN2 = math.log(2.0)
 SUPPORT_TOL = 1e-10
@@ -88,7 +88,8 @@ class RoofOptions:
     max_evals bounds one derivative-free search, run only by convex_roof
     with a caller's pure measure.  Random start j is random_isometry(n, r,
     seed * 7919 + 2 + j), built once per process.  restarts, max_evals and a
-    given cap must be at least 1, seed an integer >= 0 (else ParameterOutOfRange).
+    given cap must be integers >= 1, seed an integer >= 0 (else
+    ParameterOutOfRange).
     """
 
     ensemble_size_cap: Optional[int] = None
@@ -103,12 +104,13 @@ class RoofOptions:
 
 
 def _require_options(seed, **counts):
-    """Raise ParameterOutOfRange unless seed is an integer >= 0 and each count >= 1 or None."""
+    """Raise ParameterOutOfRange unless seed is an integer >= 0 and each
+    count an integer >= 1 or None."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterOutOfRange(f"seed must be an integer >= 0, got {seed!r}")
     for name, value in counts.items():
-        if value is not None and value < 1:
-            raise ParameterOutOfRange(f"{name} must be at least 1, got {value}")
+        if value is not None and (not isinstance(value, (int, np.integer)) or value < 1):
+            raise ParameterOutOfRange(f"{name} must be an integer at least 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,62 +397,64 @@ def _retract(M):
     return U @ Vh
 
 
+def _stiefel_path(T, val, PG, norm, max_iter, gtol):
+    """_stacked_riemannian_descent for one start, as a generator of its
+    requests; each trial's reply is (T, value, PG, |PG|) at the trial point."""
+    evals = iters = stall = 0
+    step = 1.0
+    while not (norm < gtol or stall >= 5 or iters >= max_iter or step <= 1e-13):
+        steps = (step, 0.5 * step) if 0.5 * step > 1e-13 else (step,)
+        trials = yield "trials", T, PG, steps
+        # the first trial that lowers the value, else the last
+        j = next((j for j, trial in enumerate(trials) if trial[1] < val - 1e-14), len(steps) - 1)
+        evals += j + 1
+        if trials[j][1] < val - 1e-14:
+            stall = stall + 1 if val - trials[j][1] < 1e-11 else 0
+            iters += 1
+            T, val, PG, norm = trials[j]
+            step = min(steps[j] * 2.0, 10.0)
+        else:
+            step = steps[j] * 0.5
+    return T, val, evals
+
+
 def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10):
     """Backtracking gradient descent on the Stiefel manifold from each
-    isometry of the stack T in lockstep, from the values val and gradients G
-    that the caller evaluated at T.
+    isometry of the stack T, from the values val and gradients G that the
+    caller evaluated at T.
 
     value_grad(T) returns the values and Euclidean gradients of a stack T:
     the real gradient df/dRe T + i df/dIm T or a fixed positive multiple of
     it, such as df/dconj(T), its half.  Steps start at length 1, so the
     multiple changes the path taken, not the direction.  Every start keeps
     its own step size, stall counter and iteration count, so it follows the
-    trajectory it would follow alone; a start that stops leaves the stack.
-    A start stops when its projected gradient is below gtol, after max_iter
-    accepted steps, after 5 steps that each gain < 1e-11, or when its
-    step falls to 1e-13.  Returns (T, value, evaluations) per start, in
-    order; evaluations counts trial points only.
+    trajectory it would follow alone (_stiefel_path).  A start stops when
+    its projected gradient is below gtol, after max_iter accepted steps,
+    after 5 steps that each gain < 1e-11, or when its step falls to 1e-13.
+    Returns (T, value, evaluations) per start, in order; evaluations counts
+    trial points only.
 
     The ladder is tried in pairs: each round evaluates step and step/2 (if
-    above 1e-13) of every start from the same T in one stacked call, and a
-    start takes the first trial that lowers its value.  Each stack row gets
-    the bits it gets alone, so every T, value and evaluation count (step/2
-    counted only when step fails) is that of one trial per round.
+    above 1e-13) of every live start from the same T, all starts' trials in
+    one stacked _retract, value_grad and tangent projection (solvers._drive),
+    and a start takes the first trial that lowers its value.  Each stack row
+    gets the bits it gets alone, so every T, value and evaluation count
+    (step/2 counted only when step fails) is that of one trial per round.
     """
-    found, idx = [None] * len(T), np.arange(len(T))
     PG = _project_stiefel_tangent(T, G)
-    evals, iters, stall = np.zeros_like(idx), np.zeros_like(idx), np.zeros_like(idx)
-    step = np.ones(len(T))
-    stop = np.linalg.norm(PG, axis=(-2, -1)) < gtol
-    while True:
-        if stop.any():
-            for j in np.flatnonzero(stop):
-                found[idx[j]] = (T[j], float(val[j]), int(evals[j]))
-            keep = ~stop
-            T, val, PG, step, stall = T[keep], val[keep], PG[keep], step[keep], stall[keep]
-            idx, evals, iters = idx[keep], evals[keep], iters[keep]
-            if not idx.size:
-                return found
-        k, half = len(T), step * 0.5
-        two = np.flatnonzero(half > 1e-13)
-        rows = np.concatenate((np.arange(k), two))
-        cand = _retract(T[rows] - np.concatenate((step, half[two]))[:, None, None] * PG[rows])
+
+    def trials(requests, owners):
+        T, PG, steps = (np.stack(a) for a in zip(*[(T0, PG0, step) for T0, PG0, steps in requests
+                                                   for step in steps]))
+        cand = _retract(T - steps[:, None, None] * PG)
         cval, cG = value_grad(cand)
-        # a start whose step fails takes its step/2 trial, if it has one
-        redo = ~(cval[two] < val[two] - 1e-14)
-        pick = np.arange(k)
-        pick[two[redo]] = k + np.flatnonzero(redo)
-        cand, cval, cG, step = cand[pick], cval[pick], cG[pick], np.where(pick >= k, half, step)
-        evals += 1 + (pick >= k)
-        ok = cval < val - 1e-14
-        stall = np.where(ok, np.where(val - cval < 1e-11, stall + 1, 0), stall)
-        iters += ok
-        val = np.where(ok, cval, val)
-        T = np.where(ok[:, None, None], cand, T)
-        PG = np.where(ok[:, None, None], _project_stiefel_tangent(cand, cG), PG)
-        step = np.where(ok, np.minimum(step * 2.0, 10.0), step * 0.5)
-        stop = np.where(ok, (stall >= 5) | (iters >= max_iter)
-                        | (np.linalg.norm(PG, axis=(-2, -1)) < gtol), step <= 1e-13)
+        cPG = _project_stiefel_tangent(cand, cG)
+        found = iter(zip(cand, cval.tolist(), cPG, np.linalg.norm(cPG, axis=(-2, -1)).tolist()))
+        return [[next(found) for _ in steps] for _, _, steps in requests]
+
+    paths = [_stiefel_path(*start, max_iter, gtol) for start in
+             zip(T, val.tolist(), PG, np.linalg.norm(PG, axis=(-2, -1)).tolist())]
+    return _drive(paths, {"trials": lambda *args: trials([args], None)[0]}, {"trials": trials})
 
 
 def _l1_value_grad(X):
@@ -669,7 +673,7 @@ def max_measure_value(basis: SuperpositionBasis,
                       max_evals: int = 4000) -> float:
     """Best-effort maximum of a pure-state measure over the unit sphere, by
     the retracted pattern search over d x 1 isometries from seeded starts.
-    restarts and max_evals must be at least 1, and seed an integer >= 0
+    restarts and max_evals must be integers >= 1, and seed an integer >= 0
     (ParameterOutOfRange otherwise)."""
     _require_options(seed, restarts=restarts, max_evals=max_evals)
     d = basis.dimension

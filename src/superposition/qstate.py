@@ -28,11 +28,12 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidCoefficients(f"not a square matrix: {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise InvalidCoefficients("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > HERM_TOL or abs(np.trace(m).imag) > HERM_TOL:
+        # each check is written so that a NaN or infinite entry fails it
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+            raise InvalidCoefficients("matrix is not Hermitian with finite entries")
+        if not (abs(np.trace(m).real - 1.0) <= HERM_TOL and abs(np.trace(m).imag) <= HERM_TOL):
             raise InvalidCoefficients(f"trace is {np.trace(m)!r}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+        if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise InvalidCoefficients("matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
@@ -53,7 +54,7 @@ class PureState:
         v = np.array(self.vector, dtype=complex)
         if v.ndim != 1:
             raise InvalidCoefficients(f"not a vector: shape {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > HERM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= HERM_TOL:  # NaN fails too
             raise InvalidCoefficients(f"norm is {np.linalg.norm(v)!r}")
         object.__setattr__(self, "vector", v)
         v.setflags(write=False)

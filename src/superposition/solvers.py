@@ -25,13 +25,14 @@ its backtracking in pairs, in the order it would try them one at a time.
 The roof's Stiefel descent (``measures._stacked_riemannian_descent``) pairs
 its backtracking the same way: both descents try two step sizes per call.
 
-Each solver is written once, for one problem, as a generator that yields
-its kernel requests (``_barrier_path``, ``_mirror_path``).  ``_drive`` runs
-a list of them: a lone problem has each request answered at once, and many
-problems run in rounds, all pending requests of one kind answered by one
-call on their stack.  Given a stack of problems (a stack of starts for
-``barrier_descent``, of R for the diagonal solvers, ``problems=n`` for the
-mirror descent) a solver returns a list of results, each the one the
+Each iterative method is written once, for one problem, as a generator that
+yields its requests: ``_barrier_path``, ``_mirror_path``, the roof's
+``measures._stiefel_path`` and the axiom trials of ``harness``.  One driver,
+``_drive``, runs them all: a lone problem has each request answered at once,
+and many problems run in rounds, all pending requests of one kind answered
+by one call on their stack.  Given a stack of problems (a stack of starts
+for ``barrier_descent``, of R for the diagonal solvers, ``problems=n`` for
+the mirror descent) a solver returns a list of results, each the one the
 problem gets alone: every stacked kernel is a stack of the one-problem
 kernels, bit for bit, and ``LogDetBarrier`` carries a leading problem axis.
 """
@@ -61,13 +62,14 @@ def _drive(problems, one, many):
     """Run the problem generators to their return values, in order.
 
     A problem yields requests (kind, *args) and is sent each reply, or has
-    the LinAlgError that the request raised thrown in at its yield.  A lone
-    problem has each request answered at once by one[kind](*args).  Several
-    run in rounds: each round takes every unfinished problem's pending
-    request and answers all requests of one kind by one call
-    many[kind](requests, owners), the requests' argument tuples and their
-    problems' indices, which returns the replies in order, a LinAlgError
-    instance for a request that raised one.
+    the LinAlgError that the request raised thrown in at its yield; it may
+    also return before its first request.  A lone problem has each request
+    answered at once by one[kind](*args).  Several run in rounds: each round
+    takes every unfinished problem's pending request and answers all
+    requests of one kind by one call many[kind](requests, owners), the
+    requests' argument tuples and their problems' indices, which returns
+    the replies in order, a LinAlgError instance for a request that raised
+    one.
     """
     if len(problems) == 1:
         send, throw = problems[0].send, problems[0].throw
@@ -83,24 +85,23 @@ def _drive(problems, one, many):
         except StopIteration as stop:
             return [stop.value]
     found = [None] * len(problems)
-    asks = {i: next(path) for i, path in enumerate(problems)}
-    while asks:
+    replies = dict.fromkeys(range(len(problems)))  # None starts each problem
+    while replies:
         by_kind = {}
-        for i, (kind, *args) in asks.items():
-            owners, requests = by_kind.setdefault(kind, ([], []))
-            owners.append(i)
-            requests.append(args)
-        replies = {}
-        for kind, (owners, requests) in by_kind.items():
-            replies.update(zip(owners, many[kind](requests, np.array(owners))))
-        asks = {}
         for i, reply in replies.items():
             path = problems[i]
             try:
-                asks[i] = (path.throw(reply) if isinstance(reply, np.linalg.LinAlgError)
-                           else path.send(reply))
+                kind, *args = (path.throw(reply) if isinstance(reply, np.linalg.LinAlgError)
+                               else path.send(reply))
             except StopIteration as stop:
                 found[i] = stop.value
+            else:
+                owners, requests = by_kind.setdefault(kind, ([], []))
+                owners.append(i)
+                requests.append(args)
+        replies = {}
+        for kind, (owners, requests) in by_kind.items():
+            replies.update(zip(owners, many[kind](requests, np.array(owners))))
     return found
 
 

@@ -72,6 +72,16 @@ def test_build_basis_rejects_bad_input():
         build_basis(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_basis_rejects_entries_that_are_not_finite(bad):
+    with pytest.raises(NonUnitColumn):
+        build_basis(np.array([[1.0, bad], [0.0, 1.0]]))
+    with pytest.raises(NonUnitColumn):
+        build_basis(np.array([[bad, 0.0], [bad, 1.0]]))
+    with pytest.raises(SuperpositionError):
+        basis_from_json({"dimension": 2, "vectors": [[1, 0], [0, 0], [bad, 0], [1, 0]]})
+
+
 def test_json_round_trip():
     basis = constant_overlap_basis(3, 0.25)
     again = basis_from_json(basis.to_json())

@@ -135,6 +135,25 @@ def test_measure_missing_file(capsys):
                  "--constant", "2", "0.5", "--measure", "l1"]) == 2
 
 
+def test_measure_rejects_entries_that_are_not_finite_exit_2(tmp_path, capsys):
+    # json reads NaN and Infinity, so the input checks must reject them
+    # before any measure runs
+    nan = float("nan")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[[0.5, 0], [nan, 0]], [[nan, 0], [0.5, 0]]]))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"dimension": 2, "vectors": [[1, 0], [0, 0], [0, 0],
+                                                             [float("inf"), 0]]}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(rho_x(0.25, 0.5)[0].to_json()))
+    for name in sorted(set(MEASURES) - {"broken_l1"}):
+        for argv in (["--state", str(state), "--constant", "2", "0.5"],
+                     ["--state", str(good), "--basis", str(basis)]):
+            assert main(["measure", *argv, "--measure", name]) == 2, (name, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), (name, argv)
+
+
 def test_example1_sweep(capsys):
     assert main(["example1", "--mu", "0.5", "--x-steps", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -96,6 +96,14 @@ def test_campaigns_reject_trials_below_one():
             run_oracle_campaign("weight", "weight_grid", trials=trials)
 
 
+def test_campaigns_reject_trial_counts_that_are_not_integers():
+    for trials in (2.5, 3.0, "4"):
+        with pytest.raises(ParameterOutOfRange, match="must be an integer at least 1"):
+            run_axiom_campaign("l1", BASIS2, trials=trials)
+        with pytest.raises(ParameterOutOfRange, match="must be an integer at least 1"):
+            run_oracle_campaign("weight", "weight_grid", trials=trials)
+
+
 def test_campaigns_reject_seeds_that_are_not_nonnegative_integers():
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ParameterOutOfRange, match="seed must be an integer >= 0"):

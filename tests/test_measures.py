@@ -428,6 +428,9 @@ def test_max_measure_value_rejects_empty_budgets():
     for seed in (-1, 1.5, "0"):
         with pytest.raises(ParameterOutOfRange, match="seed must be an integer >= 0"):
             max_measure_value(BASIS2, measure, seed=seed)
+    for kwargs in ({"restarts": 1.5}, {"max_evals": 40.0}):
+        with pytest.raises(ParameterOutOfRange, match="must be an integer at least 1"):
+            max_measure_value(BASIS2, measure, **kwargs)
 
 
 def test_every_result_serializes():
@@ -556,3 +559,22 @@ def test_drive_throws_a_singular_solve_into_its_own_problem_only():
     together = solvers._drive([path(H) for H in Hs], one, {"solve": solvers._solve_many})
     assert alone[1] == together[1] == "singular"
     assert np.array_equal(alone[0], together[0]) and np.array_equal(alone[2], together[2])
+
+
+def test_drive_takes_a_problem_that_returns_before_its_first_request():
+    # a problem may be done on entry, as a roof start whose projected
+    # gradient is already below gtol; lone or among others it returns its
+    # value and the others run on
+    def path(H):
+        if H is None:
+            return "done"
+        return (yield "solve", H, np.ones(2))
+
+    one = {"solve": np.linalg.solve}
+    many = {"solve": solvers._solve_many}
+    assert solvers._drive([path(None)], one, None) == ["done"]
+    assert solvers._drive([path(None), path(None)], one, many) == ["done", "done"]
+    first, done, last = solvers._drive([path(np.eye(2)), path(None), path(2 * np.eye(2))],
+                                       one, many)
+    assert done == "done"
+    assert np.array_equal(first, np.ones(2)) and np.array_equal(last, 0.5 * np.ones(2))

@@ -40,6 +40,20 @@ def test_density_matrix_validation():
         PureState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_states_reject_entries_that_are_not_finite(bad):
+    # a check of the form `deviation > tol` would let a NaN through
+    rho = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+    with pytest.raises(InvalidCoefficients):
+        DensityMatrix(rho)
+    with pytest.raises(InvalidCoefficients):
+        DensityMatrix(np.diag([bad, 1.0]))
+    with pytest.raises(InvalidCoefficients):
+        PureState(np.array([bad, 0.0]))
+    with pytest.raises(InvalidCoefficients):
+        PureState(np.array([1.0, bad * 1j]))
+
+
 def test_constructors_copy_the_callers_array():
     basis = constant_overlap_basis(2, 0.5)
     rho_in = np.eye(2, dtype=complex) / 2

@@ -273,6 +273,14 @@ def test_roof_options_below_one_are_rejected():
     assert RoofOptions(seed=np.int64(3)).seed == 3
 
 
+def test_roof_options_counts_must_be_integers():
+    for kwargs in ({"restarts": 2.5}, {"max_evals": 100.0}, {"ensemble_size_cap": 1.5},
+                   {"restarts": "4"}):
+        with pytest.raises(ParameterOutOfRange, match="must be an integer at least 1"):
+            RoofOptions(**kwargs)
+    assert RoofOptions(restarts=np.int64(3), ensemble_size_cap=np.int32(2)).restarts == 3
+
+
 def test_malformed_extra_start_is_rejected():
     # rank 2: a 3 x 1 start cannot be an isometry of the eigen-decomposition
     rho, basis = random_density(3, 2, 5), constant_overlap_basis(3, 0.5)
