@@ -4,25 +4,29 @@
 Usage: same_outputs.py PARENT_ROOT
 
 PARENT_ROOT is a checkout of the parent commit, for example one made with
-`git worktree add /tmp/parent HEAD~1`.  For each root the script runs the
-CLI commands of cli_commands (gram, every CLI measure on a constant-overlap
-and a random complex basis, example1, the axiom campaign of every measure
-at d = 2, 3, the 18 axiom campaigns of bench/workloads.cli_campaign at seed
-1 (rel_ent, weight and robustness at d = 2, 3 and three mu each), and the
-cli_campaign input `measure rel_ent d=4 #2` of seed 4, whose solve runs out
-of iterations and exits 3) and the 13 campaigns of
-tests/test_acceptance.py's acceptance 05 (l1, rel_ent, robustness, weight,
-delta and l1_roof at d = 2, 3 and broken_l1 at d = 2; seed 1, 200 trials)
-as `axioms` commands, with PYTHONPATH=<root>/src and one BLAS thread, and
-compares exit code and stdout byte for byte, naming the top-level keys that
-differ when both stdouts are JSON objects.
-It also compares (repr(value), iterations, converged) and the certificate
-(each member's probability and vector, by repr) of every roof_search item of
-<root>/bench/workloads.py at seeds 7, 301 and 901.  Each seed's items run
-twice in one process, so that a result that depends on what an earlier call
-left behind (a stale or mutated cached start) shows up as a mismatch.  The
-two roots run side by side.  Each mismatch is printed with the fields that
-differ; the exit code is 1 if there is any, else 0.
+`git archive HEAD~1 | tar -x -C /tmp/parent`.  For each root the script
+runs the CLI commands of cli_commands (gram, every CLI measure on a
+constant-overlap and a random complex basis, example1, the axiom campaign of
+every measure at d = 2, 3, the 18 axiom campaigns of
+bench/workloads.cli_campaign at seed 1 (rel_ent, weight and robustness at
+d = 2, 3 and three mu each), and the cli_campaign input `measure rel_ent
+d=4 #2` of seed 4, whose solve runs out of iterations and exits 3) and the
+13 campaigns of tests/test_acceptance.py's acceptance 05 (l1, rel_ent,
+robustness, weight, delta and l1_roof at d = 2, 3 and broken_l1 at d = 2;
+seed 1, 200 trials) as `axioms` commands, with PYTHONPATH=<root>/src and
+one BLAS thread, and compares exit code and stdout byte for byte, naming
+the top-level keys that differ when both stdouts are JSON objects.
+It also compares every item of the roof_search and block_barrier workloads
+of <root>/bench/workloads.py at seeds 7, 301 and 901: repr(value),
+iterations, converged and the certificate as MeasureResult.to_json() writes
+it (a roof's ensemble, a block measure's B or C), and the exit code and
+stdout of a CLI item.  The block_barrier items are the only check on
+m_weight_generalized and m_robustness_generalized, which the CLI cannot
+reach.  Each seed's items run twice in one process, so that a result that
+depends on what an earlier call left behind (a stale or mutated cached
+start or LMI plan) shows up as a mismatch.  The two roots run side by side.
+Each mismatch is printed with the fields that differ; the exit code is 1 if
+there is any, else 0.
 """
 
 import ast
@@ -42,34 +46,36 @@ sys.path.insert(0, str(ROOT / "src"))
 from superposition import build_basis, random_density  # noqa: E402
 from superposition.harness import MEASURES  # noqa: E402
 
-ROOF_SEEDS = (7, 301, 901)
+DUMP_SEEDS = (7, 301, 901)
+DUMP_WORKLOADS = ("roof_search", "block_barrier")
 # the axiom campaigns of acceptance 05 (tests/test_acceptance.py)
 ACCEPTANCE_05 = [["axioms", "--measure", name, "--d", str(d), "--trials", "200", "--seed", "1"]
                  for name in ("l1", "rel_ent", "robustness", "weight", "delta", "l1_roof")
                  for d in (2, 3)] + [["axioms", "--measure", "broken_l1", "--d", "2",
                                       "--trials", "200", "--seed", "1"]]
-# the fields of a roof dump line after (seed, pass, item name)
-ROOF_FIELDS = ("value", "iterations", "converged", "certificate")
+# the fields of a workload dump line after (seed, pass, item name)
+RESULT_FIELDS = ("value", "iterations", "converged", "certificate")
 CLI_FIELDS = ("exit code", "stdout")
 
-# Run in a child process with <root>/src and <root>/bench on sys.path: one
-# line per roof_search item and pass, MeasureResult items as (value,
-# iterations, converged, [(probability, vector)] of the certificate) and the
-# example1 item as (exit code, stdout).
-ROOF_DUMP = """
-import sys, tempfile
+# Run in a child process with <root>/src and <root>/bench on sys.path, given
+# a workload name and seeds: one line per item and pass, MeasureResult items
+# as (repr(value), iterations, converged, the certificate's JSON) and CLI
+# items as (exit code, stdout).
+DUMP = """
+import json, sys, tempfile
 from pathlib import Path
 import workloads
-for seed in map(int, sys.argv[1:]):
+workload = getattr(workloads, sys.argv[1])
+for seed in map(int, sys.argv[2:]):
     for run in (1, 2):
         with tempfile.TemporaryDirectory() as tmp:
-            for item in workloads.roof_search(seed, Path(tmp)):
+            for item in workload(seed, Path(tmp)):
                 out = item.call()
                 if isinstance(out, workloads.CliRun):
                     fields = (out.code, out.out)
                 else:
-                    members = [(p, phi.vector.tolist()) for p, phi in out.certificate.members]
-                    fields = (repr(out.value), out.iterations, out.converged, members)
+                    fields = (repr(out.value), out.iterations, out.converged,
+                              json.dumps(out.to_json()["certificate"]))
                 print(repr((seed, run, item.name) + fields))
 """
 
@@ -118,28 +124,29 @@ def stdout_diff(out_a: str, out_b: str) -> str:
     return f"stdout differs in {', '.join(map(repr, keys)) or 'formatting'}"
 
 
-def roof_outputs(root: Path) -> list:
-    proc = subprocess.run([sys.executable, "-c", ROOF_DUMP, *map(str, ROOF_SEEDS)],
+def dump_outputs(root: Path, workload: str) -> list:
+    proc = subprocess.run([sys.executable, "-c", DUMP, workload, *map(str, DUMP_SEEDS)],
                           capture_output=True, text=True, check=True,
                           cwd=root / "bench", env=_env(root))
     return proc.stdout.splitlines()
 
 
-def roof_diff(x: str, y: str) -> str:
-    """The item of two different roof dump lines and the fields that differ."""
+def roof_diff(x: str, y: str, workload: str = "roof_search") -> str:
+    """The item of two different dump lines of workload and the fields that
+    differ."""
     a, b = ast.literal_eval(x), ast.literal_eval(y)
     if a[:3] != b[:3]:
-        return f"roof_search: item {a[:3]} vs {b[:3]}"
-    names = ROOF_FIELDS if len(a) == 3 + len(ROOF_FIELDS) else CLI_FIELDS
-    return f"roof_search {a[:3]}: differs in " + ", ".join(
+        return f"{workload}: item {a[:3]} vs {b[:3]}"
+    names = RESULT_FIELDS if len(a) == 3 + len(RESULT_FIELDS) else CLI_FIELDS
+    return f"{workload} {a[:3]}: differs in " + ", ".join(
         name for name, u, v in zip(names, a[3:], b[3:]) if u != v)
 
 
-def compare_roofs(parent: Path, child: Path) -> list:
-    a, b = _both(roof_outputs, parent, child)
-    mismatches = [roof_diff(x, y) for x, y in zip(a, b) if x != y]
+def compare_dumps(parent: Path, child: Path, workload: str) -> list:
+    a, b = _both(dump_outputs, parent, child, workload)
+    mismatches = [roof_diff(x, y, workload) for x, y in zip(a, b) if x != y]
     if len(a) != len(b):
-        mismatches.append(f"roof_search: {len(a)} vs {len(b)} items")
+        mismatches.append(f"{workload}: {len(a)} vs {len(b)} items")
     return mismatches
 
 
@@ -185,11 +192,13 @@ def main(argv) -> int:
     parent = Path(argv[0]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         commands = cli_commands(**write_inputs(Path(tmp)))
-        mismatches = compare(parent, ROOT, commands) + compare_roofs(parent, ROOT)
+        mismatches = compare(parent, ROOT, commands)
+    for workload in DUMP_WORKLOADS:
+        mismatches += compare_dumps(parent, ROOT, workload)
     for line in mismatches:
         print(line)
-    print(f"{len(commands)} commands and the roof_search items at seeds "
-          f"{', '.join(map(str, ROOF_SEEDS))}: {len(mismatches)} mismatches", file=sys.stderr)
+    print(f"{len(commands)} commands and the {' and '.join(DUMP_WORKLOADS)} items at seeds "
+          f"{', '.join(map(str, DUMP_SEEDS))}: {len(mismatches)} mismatches", file=sys.stderr)
     return 1 if mismatches else 0
 
 

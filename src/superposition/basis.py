@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinearlyDependent, NonUnitColumn, OverlapOutOfRange
+from .errors import (
+    InvalidCoefficients,
+    LinearlyDependent,
+    NonUnitColumn,
+    OverlapOutOfRange,
+    WrongDimension,
+)
 
 # Determinant threshold certifying linear independence.
 DET_TOL = 1e-10
@@ -48,13 +54,25 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """The complex array whose [re, im] pairs obj holds."""
-    arr = np.asarray(obj, dtype=float)
+    """The complex array whose [re, im] pairs obj holds; InvalidCoefficients
+    if obj is not an array of such pairs of numbers."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCoefficients(f"expected an array of [re, im] pairs: {exc}") from None
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise InvalidCoefficients(f"expected an array of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def basis_from_json(obj: dict) -> SuperpositionBasis:
-    d = int(obj["dimension"])
+    """The basis that to_json wrote: {"dimension": d, "vectors": the d * d
+    entries of V, column-major}; WrongDimension if obj has no integer
+    dimension."""
+    try:
+        d = int(obj["dimension"])
+    except (TypeError, ValueError):
+        raise WrongDimension(f"a basis needs an integer dimension, got {obj!r:.80}") from None
     return build_basis(matrix_from_json(obj["vectors"]).reshape((d, d), order="F"))
 
 
@@ -68,8 +86,10 @@ def build_basis(columns: np.ndarray) -> SuperpositionBasis:
     V = np.array(columns, dtype=complex)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise NonUnitColumn(f"expected a square matrix, got shape {V.shape}")
-    norms = np.linalg.norm(V, axis=0)
-    # both checks are written so that a NaN or infinite entry fails them
+    # both checks are written so that a NaN or infinite entry fails them,
+    # and numpy's warnings on such entries are not printed above the error
+    with np.errstate(invalid="ignore"):
+        norms = np.linalg.norm(V, axis=0)
     if not np.max(np.abs(norms - 1.0)) <= UNIT_TOL:
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise NonUnitColumn(f"column {worst} has norm {norms[worst]!r}")

@@ -204,7 +204,7 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
         return MeasureResult(value=0.0, certificate={"B": pinched, "weight": 1.0})
     G = basis.gram
     problem, x0 = weight_barrier(R, G, partition.blocks)
-    x, iters = barrier_descent(x0, problem.grad_hess, problem.parts, problem.c)
+    x, iters = barrier_descent(problem, x0)
     B = problem.matrix(x)[1]
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
     return MeasureResult(value=1.0 - weight, certificate={"B": B, "weight": weight},
@@ -224,7 +224,7 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
         return MeasureResult(value=0.0, certificate={"C": pinched})
     G = basis.gram
     problem, x0 = robustness_barrier(R, G, partition.blocks)
-    x, iters = barrier_descent(x0, problem.grad_hess, problem.parts, problem.c)
+    x, iters = barrier_descent(problem, x0)
     C = problem.matrix(x)[0] + R
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)
     return MeasureResult(value=value, certificate={"C": C}, iterations=iters)

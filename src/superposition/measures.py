@@ -45,6 +45,8 @@ STEP_MIN = 1e-4
 # A roof search stops once the reported cost of a decomposition is within
 # this distance of the certified lower bound it was given.
 ROOF_GAP = 1e-9
+# A Stiefel descent start stops once its projected gradient is below this.
+STIEFEL_GTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -251,20 +253,21 @@ def _m_weight_many(rhos, basis: SuperpositionBasis) -> list:
 # convex roof
 
 
-def _pattern_search(fun, T0, budget):
-    """Coordinate descent from the isometry T0 over the real and imaginary
-    parts of an ambient step X, each trial point retracted:
-    T = _retract(T0 + X), so that X = 0 is T0 itself.  A coordinate step
-    that lowers fun is repeated while it keeps lowering it; the step halves
-    after a sweep without a decrease.  Returns (T, value, evaluations,
-    converged), converged once the step falls to STEP_MIN within budget
-    evaluations."""
+def _pattern_search(fun, T0, value, budget):
+    """Coordinate descent from the isometry T0, whose value fun(T0) the
+    caller has evaluated, over the real and imaginary parts of an ambient
+    step X, each trial point retracted: T = _retract(T0 + X).  A coordinate
+    step that lowers fun is repeated while it keeps lowering it; the step
+    halves after a sweep without a decrease.  Returns (T, value,
+    evaluations, converged): T0 and value if no step lowers fun, evaluations
+    counting the trial points only, and converged once the step falls to
+    STEP_MIN within budget evaluations, T0's among them."""
     def chart(x):
         return _retract(T0 + x.view(complex).reshape(T0.shape))
 
     x = np.zeros(2 * T0.size)
-    best = fun(chart(x))
-    evals = 1
+    best = value
+    evals = 1  # T0's
     step = STEP0
     while step > STEP_MIN and evals < budget:
         improved = False
@@ -290,7 +293,7 @@ def _pattern_search(fun, T0, budget):
                 x[k] = old
         if not improved:
             step *= 0.5
-    return chart(x), best, evals, step <= STEP_MIN
+    return T0 if best == value else chart(x), best, evals - 1, step <= STEP_MIN
 
 
 @functools.lru_cache(maxsize=1024)
@@ -314,12 +317,13 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
     (identity, free-leaning, opts.extra_starts, then seeded random
     isometries, which depend only on (n, r, opts.seed) and are built once
     per process).  Each start shape's stack is evaluated once, as the start
-    check and, given G, as the first step of the shape's lockstep
-    Riemannian descent, which tries its step ladder in pairs, two step
-    sizes per stacked call (a zero G stops every search at its start); given
-    G = None, each start gets a retracted pattern search of at most
-    opts.max_evals evaluations.  Both move T, with polar retraction, and
-    accept only decreases.  lower is a certified lower bound on the roof.
+    check and as every search's start: given G, the shape's stacked
+    Riemannian descent (_stacked_riemannian_descent), which tries its step
+    ladder in pairs, two step sizes per stacked call (a zero G stops every
+    search at its start); given G = None, a retracted pattern search per
+    start of at most opts.max_evals evaluations, the start's included.  Both
+    move T, with polar retraction, and accept only decreases.  lower is a
+    certified lower bound on the roof.
     One rule picks the winner among the starts and, unless one is within
     ROOF_GAP of lower, among the searches: the lowest value, ties to the
     earlier start, every value within ROOF_GAP of lower counting as lowest,
@@ -376,7 +380,8 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
         for idx, T0, val0, G0 in stacks:
             if G0 is None:
                 runs = [_pattern_search(lambda T: float(value_grad(Cc @ T.T)[0]),
-                                        starts[i], opts.max_evals) for i in idx]
+                                        starts[i], float(v), opts.max_evals)
+                        for i, v in zip(idx, val0)]
             else:
                 runs = [(*f, True) for f in _stacked_riemannian_descent(cost_grad, T0, val0, G0)]
             for i, run in zip(idx, runs):
@@ -397,12 +402,12 @@ def _retract(M):
     return U @ Vh
 
 
-def _stiefel_path(T, val, PG, norm, max_iter, gtol):
+def _stiefel_path(T, val, PG, norm, max_iter):
     """_stacked_riemannian_descent for one start, as a generator of its
     requests; each trial's reply is (T, value, PG, |PG|) at the trial point."""
     evals = iters = stall = 0
     step = 1.0
-    while not (norm < gtol or stall >= 5 or iters >= max_iter or step <= 1e-13):
+    while not (norm < STIEFEL_GTOL or stall >= 5 or iters >= max_iter or step <= 1e-13):
         steps = (step, 0.5 * step) if 0.5 * step > 1e-13 else (step,)
         trials = yield "trials", T, PG, steps
         # the first trial that lowers the value, else the last
@@ -418,7 +423,7 @@ def _stiefel_path(T, val, PG, norm, max_iter, gtol):
     return T, val, evals
 
 
-def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10):
+def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400):
     """Backtracking gradient descent on the Stiefel manifold from each
     isometry of the stack T, from the values val and gradients G that the
     caller evaluated at T.
@@ -429,8 +434,9 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10)
     multiple changes the path taken, not the direction.  Every start keeps
     its own step size, stall counter and iteration count, so it follows the
     trajectory it would follow alone (_stiefel_path).  A start stops when
-    its projected gradient is below gtol, after max_iter accepted steps,
-    after 5 steps that each gain < 1e-11, or when its step falls to 1e-13.
+    its projected gradient is below STIEFEL_GTOL, after max_iter accepted
+    steps, after 5 steps that each gain < 1e-11, or when its step falls to
+    1e-13.
     Returns (T, value, evaluations) per start, in order; evaluations counts
     trial points only.
 
@@ -452,7 +458,7 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400, gtol=1e-10)
         found = iter(zip(cand, cval.tolist(), cPG, np.linalg.norm(cPG, axis=(-2, -1)).tolist()))
         return [[next(found) for _ in steps] for _, _, steps in requests]
 
-    paths = [_stiefel_path(*start, max_iter, gtol) for start in
+    paths = [_stiefel_path(*start, max_iter) for start in
              zip(T, val.tolist(), PG, np.linalg.norm(PG, axis=(-2, -1)).tolist())]
     return _drive(paths, {"trials": lambda *args: trials([args], None)[0]}, {"trials": trials})
 
@@ -679,9 +685,13 @@ def max_measure_value(basis: SuperpositionBasis,
     d = basis.dimension
     if d == 1:
         return 0.0
+
+    def cost(T):
+        return -pure_measure(PureState(T[:, 0]))
+
     best = 0.0
     for restart in range(restarts):
-        _, val, _, _ = _pattern_search(lambda T: -pure_measure(PureState(T[:, 0])),
-                                       random_isometry(d, 1, seed * 7919 + restart), max_evals)
+        T0 = random_isometry(d, 1, seed * 7919 + restart)
+        _, val, _, _ = _pattern_search(cost, T0, cost(T0), max_evals)
         best = max(best, -val)
     return best

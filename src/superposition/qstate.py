@@ -28,11 +28,14 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidCoefficients(f"not a square matrix: {m.shape}")
-        # each check is written so that a NaN or infinite entry fails it
-        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
-            raise InvalidCoefficients("matrix is not Hermitian with finite entries")
-        if not (abs(np.trace(m).real - 1.0) <= HERM_TOL and abs(np.trace(m).imag) <= HERM_TOL):
-            raise InvalidCoefficients(f"trace is {np.trace(m)!r}, expected 1")
+        # each check is written so that a NaN or infinite entry fails it,
+        # and numpy's warnings on such entries are not printed above the error
+        with np.errstate(invalid="ignore"):
+            if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
+                raise InvalidCoefficients("matrix is not Hermitian with finite entries")
+            if not (abs(np.trace(m).real - 1.0) <= HERM_TOL
+                    and abs(np.trace(m).imag) <= HERM_TOL):
+                raise InvalidCoefficients(f"trace is {np.trace(m)!r}, expected 1")
         if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise InvalidCoefficients("matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", m)

@@ -28,13 +28,15 @@ its backtracking the same way: both descents try two step sizes per call.
 Each iterative method is written once, for one problem, as a generator that
 yields its requests: ``_barrier_path``, ``_mirror_path``, the roof's
 ``measures._stiefel_path`` and the axiom trials of ``harness``.  One driver,
-``_drive``, runs them all: a lone problem has each request answered at once,
-and many problems run in rounds, all pending requests of one kind answered
-by one call on their stack.  Given a stack of problems (a stack of starts
-for ``barrier_descent``, of R for the diagonal solvers, ``problems=n`` for
-the mirror descent) a solver returns a list of results, each the one the
-problem gets alone: every stacked kernel is a stack of the one-problem
-kernels, bit for bit, and ``LogDetBarrier`` carries a leading problem axis.
+``_drive``, runs them all and alone picks between the one-problem and the
+stacked kernels that each solver hands it: a lone problem has each request
+answered at once, and many problems run in rounds, all pending requests of
+one kind answered by one call on their stack.  Given a stack of problems (a
+stack of starts for ``barrier_descent``, of R for the diagonal solvers,
+``problems=n`` for the mirror descent) a solver returns a list of results,
+each the one the problem gets alone: every stacked kernel is a stack of the
+one-problem kernels, bit for bit, and ``LogDetBarrier`` carries a leading
+problem axis.
 """
 
 import functools
@@ -212,49 +214,43 @@ def _barrier_path(x, c):
     return x, total
 
 
-def barrier_descent(x, grad_hess, parts, c):
-    """Predictor-corrector barrier path for a linear objective c.x (Boyd &
-    Vandenberghe, Convex Optimization, sections 11.3-11.5).
+def barrier_descent(problem, x):
+    """Predictor-corrector barrier path for the LogDetBarrier problem, from
+    the start x in its domain (Boyd & Vandenberghe, Convex Optimization,
+    sections 11.3-11.5).
 
     Stages run at t = BARRIER_T0, shrinking by BARRIER_SHRINK down to
     BARRIER_TMIN.  Every stage but the last centres loosely, to a Newton
     decrement of _CENTRE_LOOSE * t (the decrement of f_t / t, so the test is
     scale-invariant), and then steps along the tangent of the central path
     to the next t: dx = (1 - BARRIER_SHRINK) * H^-1 (g - c) from the stage's
-    last gradient g and Hessian H of f_t, halved until feasible and skipped
-    if it stays infeasible.  The last stage centres to an absolute decrement
-    of _CENTRE_TIGHT and then takes up to _POLISH_STEPS full Newton steps,
-    each kept only while it stays in the domain: the Armijo test cannot
-    resolve the last digits of f_t at small t.  A stage that uses all
-    NEWTON_MAX steps is followed by one a grid step higher, at most
-    BARRIER_RAISES times.
+    last gradient g and Hessian H of f_t = c.x + t * barrier, halved until
+    feasible and skipped if it stays infeasible.  The last stage centres to
+    an absolute decrement of _CENTRE_TIGHT and then takes up to
+    _POLISH_STEPS full Newton steps, each kept only while it stays in the
+    domain: the Armijo test cannot resolve the last digits of f_t at small
+    t.  A stage that uses all NEWTON_MAX steps is followed by one a grid
+    step higher, at most BARRIER_RAISES times.  Returns (x, total Newton
+    iterations), predictor and polish included.
 
-    parts(x) returns the objective and the log-barrier term at x, the latter
-    +inf outside the domain; grad_hess(x, t) returns the gradient and
-    Hessian of f_t = objective + t * barrier; c is shared by all problems.
-    Returns (x, total Newton iterations), predictor and polish included.
-
-    Given a stack of starts x, one row per problem, it follows every path
-    as it would alone and returns a list of those pairs.  Several problems
-    are evaluated together (_drive): parts(X, owner) and grad_hess(X, T,
-    owner) then take stacked points X, row i of problem owner[i] at weight
-    T[i], and return stacked values; a lone one gets the one-point calls,
-    which are problem 0's.
+    Given a stack of starts x, one row per problem of the stack, it follows
+    every path as it would alone and returns a list of those pairs
+    (_drive): a lone problem is evaluated by problem.parts(x) and
+    problem.grad_hess(x, t), several together by the stacked forms of both.
     """
-    one = {"parts": parts, "grad_hess": grad_hess, "solve": np.linalg.solve}
-    if x.ndim == 1:
-        return _drive([_barrier_path(x, c)], one, None)[0]
-
     def many_parts(requests, owners):
-        obj, barrier = parts(np.stack([x for x, in requests]), owners)
+        obj, barrier = problem.parts(np.stack([x for x, in requests]), owners)
         return list(zip(obj.tolist(), barrier.tolist()))
 
     def many_grad_hess(requests, owners):
         X, T = np.stack([x for x, _ in requests]), np.array([t for _, t in requests])
-        return list(zip(*grad_hess(X, T, owners)))
+        return list(zip(*problem.grad_hess(X, T, owners)))
 
-    return _drive([_barrier_path(row, c) for row in x], one,
-                  {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
+    found = _drive([_barrier_path(row, problem.c) for row in np.atleast_2d(x)],
+                   {"parts": problem.parts, "grad_hess": problem.grad_hess,
+                    "solve": np.linalg.solve},
+                   {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
+    return found if x.ndim == 2 else found[0]
 
 
 def _hermitian_coordinates(blocks):
@@ -327,15 +323,16 @@ class LogDetBarrier:
     F_pk, the F_pk those of plan (_lmi_plan).  The problems share K and the
     F_pk.
 
-    parts and grad_hess are barrier_descent's callbacks for -log det F(x),
-    whose value and domain come from one Cholesky.  With W = F(x)^-1 its
-    gradient is -Tr(W F_k) and its Hessian Tr(W F_k W F_l) (Boyd &
-    Vandenberghe, section 11.6); each F_pk has at most two nonzero entries,
-    so the Hessian is gathered from W by index.  A point x belongs to
-    problem owner; a stack of points X has row i in problem owner[i].
-    Every stacked product is a stack of the one-point products, so each row
-    gets the bits it would get alone.  c, the objective's gradient
-    Tr(K F_k), is barrier_descent's c.
+    barrier_descent(problem, x) solves it from x.  c = Tr(K F_k) is the
+    objective's gradient; parts(x) returns c.x and -log det F(x), +inf
+    outside the domain, both from one Cholesky; grad_hess(x, t) returns the
+    gradient and Hessian of f_t = c.x - t log det F(x).  With W = F(x)^-1
+    the barrier's gradient is -Tr(W F_k) and its Hessian Tr(W F_k W F_l)
+    (Boyd & Vandenberghe, section 11.6); each F_pk has at most two nonzero
+    entries, so the Hessian is gathered from W by index.  A point x belongs
+    to problem owner; a stack of points X has row i in problem owner[i], at
+    weight t[i].  Every stacked product is a stack of the one-point
+    products, so each row gets the bits it would get alone.
     """
 
     def __init__(self, F0, K, plan):
@@ -413,8 +410,7 @@ def max_weight_diagonal(R: np.ndarray):
     singleton blocks of weight_barrier, G = I.  Returns (w, iterations), or
     a list of them for a stack of R."""
     d = R.shape[-1]
-    problem, w = weight_barrier(R, np.eye(d), [(k,) for k in range(d)])
-    return barrier_descent(w, problem.grad_hess, problem.parts, problem.c)
+    return barrier_descent(*weight_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
 
 def min_dominating_diagonal(R: np.ndarray):
@@ -422,8 +418,7 @@ def min_dominating_diagonal(R: np.ndarray):
     robustness_barrier, G = I.  Returns (y, iterations), or a list of them
     for a stack of R."""
     d = R.shape[-1]
-    problem, y = robustness_barrier(R, np.eye(d), [(k,) for k in range(d)])
-    return barrier_descent(y, problem.grad_hess, problem.parts, problem.c)
+    return barrier_descent(*robustness_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
 
 def _mirror_path(d, max_iter):
@@ -484,12 +479,6 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
     problem owner[i], and gradient(state, J) returns the gradients at the
     rows J; a lone one gets the one-problem calls, which are problem 0's.
     """
-    paths = [_mirror_path(d, max_iter) for _ in range(problems or 1)]
-    one = {"values": values, "gradient": gradient}
-    if len(paths) == 1:
-        found = _drive(paths, one, None)
-        return found[0] if problems is None else found
-
     # a reply to a values request locates its rows by (state, first row);
     # every gradient request of a round is at rows of the last round's call
     def many_values(requests, owners):
@@ -502,4 +491,7 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
         (state, _), _ = requests[0]
         return list(gradient(state, np.array([a + j for (_, a), j in requests])))
 
-    return _drive(paths, one, {"values": many_values, "gradient": many_gradient})
+    found = _drive([_mirror_path(d, max_iter) for _ in range(problems or 1)],
+                   {"values": values, "gradient": gradient},
+                   {"values": many_values, "gradient": many_gradient})
+    return found[0] if problems is None else found

@@ -154,6 +154,20 @@ def test_measure_rejects_entries_that_are_not_finite_exit_2(tmp_path, capsys):
             assert captured.out == "" and captured.err.startswith("error: "), (name, argv)
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["measure", "--state", "{}", "--constant", "2", "0.5", "--measure", "l1"], {"a": 1}),
+    (["measure", "--state", "{}", "--constant", "2", "0.5", "--measure", "l1"], None),
+    (["gram", "--basis", "{}"], [1, 2]),
+    (["gram", "--basis", "{}"], {"dimension": None, "vectors": []}),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_example1_sweep(capsys):
     assert main(["example1", "--mu", "0.5", "--x-steps", "5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -35,6 +35,24 @@ def test_registry_contents():
     assert MEASURES["delta"].channel_family == "real_dual"
 
 
+def test_campaign_evaluates_in_one_round_or_two_for_roofs(monkeypatch):
+    # every trial of a non-roof campaign yields its states once, so all go
+    # through one _evaluate_many call; S4 on a roof evaluates its mixture
+    # in a second round, from its components' ensembles
+    calls = []
+    evaluate_many = harness._evaluate_many
+
+    def counting(cfg, states, *args):
+        calls.append(len(states))
+        return evaluate_many(cfg, states, *args)
+
+    monkeypatch.setattr(harness, "_evaluate_many", counting)
+    for measure, rounds in (("l1", 1), ("weight", 1), ("rel_ent", 1), ("l1_roof", 2)):
+        calls.clear()
+        run_axiom_campaign(measure, BASIS2, trials=3, seed=1)
+        assert len(calls) == rounds, measure
+
+
 def test_small_campaign_passes():
     reports = run_axiom_campaign("l1", BASIS2, trials=25, seed=3)
     assert [r.axiom for r in reports] == ["S1", "S2", "S3", "S4"]

@@ -531,6 +531,28 @@ def test_barrier_stack_with_some_infeasible_trial_points(monkeypatch):
     assert any(mixed)
 
 
+def test_lone_barrier_solves_never_reach_the_stacked_kernels(monkeypatch):
+    # _drive gives a lone problem the one-point kernels: through the
+    # stacked ones a lone weight or robustness solve takes ~1.8x as long
+    stacked = []
+    for name in ("_solve_many", "_neg_log_det"):
+        kernel = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name,
+                            lambda *args, name=name, kernel=kernel: stacked.append(name)
+                            or kernel(*args))
+    basis = constant_overlap_basis(3, 0.5)
+    rho = random_density(3, 3, 1)
+    proj = block_projectors(basis, BlockPartition(((0,), (1, 2))))
+    for fn in (m_weight, m_robustness):
+        assert fn(rho, basis).iterations > 0
+    for fn in (m_weight_generalized, m_robustness_generalized):
+        assert fn(rho, proj).iterations > 0
+    assert stacked == []
+    # a stack of two does reach them
+    measures._m_weight_many([rho, random_density(3, 3, 2)], basis)
+    assert set(stacked) == {"_solve_many", "_neg_log_det"}
+
+
 def test_neg_log_det_tells_apart_members_cholesky_rejects():
     # the second member is indefinite by less than eigvalsh's cut, so the
     # stacked Cholesky of the kept members raises and they go one at a time

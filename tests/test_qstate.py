@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from superposition import (
     CoefficientMatrix,
     DensityMatrix,
     PureState,
+    build_basis,
     coefficients_of,
     constant_overlap_basis,
     density_from_json,
@@ -23,6 +26,7 @@ from superposition.errors import (
     InvalidCoefficients,
     InvalidProbabilities,
     InvalidRank,
+    NonUnitColumn,
     NotIsometry,
     ParameterOutOfRange,
 )
@@ -52,6 +56,20 @@ def test_states_reject_entries_that_are_not_finite(bad):
         PureState(np.array([bad, 0.0]))
     with pytest.raises(InvalidCoefficients):
         PureState(np.array([1.0, bad * 1j]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_entries_raise_without_a_numpy_warning(bad):
+    # inf - inf and the complex inf * 0 make numpy warn; the input checks
+    # raise the package's error with no warning printed above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidCoefficients):
+            DensityMatrix(np.array([[0.5, bad], [bad, 0.5]], dtype=complex))
+        with pytest.raises(InvalidCoefficients):
+            PureState(np.array([bad, 0.0], dtype=complex))
+        with pytest.raises(NonUnitColumn):
+            build_basis(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_constructors_copy_the_callers_array():

@@ -246,6 +246,26 @@ def test_generic_convex_roof_agrees_with_l1_fast_path():
     assert abs(res.value - 0.4) < 1e-3
 
 
+def test_pattern_search_takes_its_start_cost_from_the_engine(monkeypatch):
+    # the engine has costed every start, so no pattern search evaluates
+    # its start again: the first point each one retracts is a step from it
+    rho, basis = random_density(3, 3, 0), constant_overlap_basis(3, 0.5)
+    pattern_search, retract, firsts = measures._pattern_search, measures._retract, []
+
+    def spy(fun, T0, *args):
+        points = []
+        monkeypatch.setattr(measures, "_retract", lambda M: points.append(M) or retract(M))
+        found = pattern_search(fun, T0, *args)
+        monkeypatch.setattr(measures, "_retract", retract)
+        firsts.append(np.array_equal(points[0], T0))
+        return found
+
+    monkeypatch.setattr(measures, "_pattern_search", spy)
+    opts = RoofOptions(ensemble_size_cap=3, restarts=8, max_evals=200)
+    convex_roof(rho, basis, lambda phi: m_l1_pure(phi, basis), opts)
+    assert firsts == [False] * 8
+
+
 def test_ensemble_warm_start_is_isometry():
     rho, basis = rho_x(0.25, 0.5)
     res = m_l1_roof(rho, basis, FAST)
