@@ -10,21 +10,24 @@ constant-overlap and a random complex basis, example1, the axiom campaign of
 every measure at d = 2, 3, the 18 axiom campaigns of
 bench/workloads.cli_campaign at seed 1 (rel_ent, weight and robustness at
 d = 2, 3 and three mu each), and the cli_campaign input `measure rel_ent
-d=4 #2` of seed 4, whose solve runs out of iterations and exits 3) and the
+d=4 #2` of seed 4, on a random complex basis with cond(V) 4.6) and the
 13 campaigns of tests/test_acceptance.py's acceptance 05 (l1, rel_ent,
 robustness, weight, delta and l1_roof at d = 2, 3 and broken_l1 at d = 2;
 seed 1, 200 trials) as `axioms` commands, with PYTHONPATH=<root>/src and
 one BLAS thread, and compares exit code and stdout byte for byte, naming
-the top-level keys that differ when both stdouts are JSON objects.
+the top-level keys that differ when both stdouts are JSON objects.  Where a
+numeric "value" differs, the mismatch line gives the parent's, the child's
+and their signed difference, child minus parent.
 It also compares every item of the roof_search and block_barrier workloads
 of <root>/bench/workloads.py at seeds 7, 301 and 901: repr(value),
 iterations, converged and the certificate as MeasureResult.to_json() writes
-it (a roof's ensemble, a block measure's B or C), and the exit code and
-stdout of a CLI item.  The block_barrier items are the only check on
-m_weight_generalized and m_robustness_generalized, which the CLI cannot
-reach.  Each seed's items run twice in one process, so that a result that
-depends on what an earlier call left behind (a stale or mutated cached
-start or LMI plan) shows up as a mismatch.  The two roots run side by side.
+it (a roof's ensemble, a block measure's B or C), a differing value given
+as above, and the exit code and stdout of a CLI item.  The block_barrier
+items are the only check on m_weight_generalized and
+m_robustness_generalized, which the CLI cannot reach.  Each seed's items
+run twice in one process, so that a result that depends on what an earlier
+call left behind (a stale or mutated cached start or LMI plan) shows up as
+a mismatch.  The two roots run side by side.
 Each mismatch is printed with the fields that differ; the exit code is 1 if
 there is any, else 0.
 """
@@ -121,7 +124,19 @@ def stdout_diff(out_a: str, out_b: str) -> str:
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return "stdout differs"
     keys = [k for k in dict.fromkeys([*a, *b]) if k not in a or k not in b or a[k] != b[k]]
-    return f"stdout differs in {', '.join(map(repr, keys)) or 'formatting'}"
+    what = f"stdout differs in {', '.join(map(repr, keys)) or 'formatting'}"
+    if "value" in keys and all(_is_number(x.get("value")) for x in (a, b)):
+        what += "; " + value_diff(a["value"], b["value"])
+    return what
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def value_diff(parent: float, child: float) -> str:
+    """A differing value as parent, child and child - parent."""
+    return f"value {parent!r} -> {child!r} ({child - parent:+.3e})"
 
 
 def dump_outputs(root: Path, workload: str) -> list:
@@ -138,8 +153,11 @@ def roof_diff(x: str, y: str, workload: str = "roof_search") -> str:
     if a[:3] != b[:3]:
         return f"{workload}: item {a[:3]} vs {b[:3]}"
     names = RESULT_FIELDS if len(a) == 3 + len(RESULT_FIELDS) else CLI_FIELDS
-    return f"{workload} {a[:3]}: differs in " + ", ".join(
-        name for name, u, v in zip(names, a[3:], b[3:]) if u != v)
+    differ = [name for name, u, v in zip(names, a[3:], b[3:]) if u != v]
+    what = f"{workload} {a[:3]}: differs in " + ", ".join(differ)
+    if names is RESULT_FIELDS and "value" in differ:
+        what += "; " + value_diff(float(a[3]), float(b[3]))
+    return what
 
 
 def compare_dumps(parent: Path, child: Path, workload: str) -> list:

@@ -67,12 +67,15 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def basis_from_json(obj: dict) -> SuperpositionBasis:
     """The basis that to_json wrote: {"dimension": d, "vectors": the d * d
-    entries of V, column-major}; WrongDimension if obj has no integer
-    dimension."""
+    entries of V, column-major}; WrongDimension unless obj's dimension is an
+    integral number (2 and 2.0 load; 2.9, "2" and true do not)."""
     try:
-        d = int(obj["dimension"])
-    except (TypeError, ValueError):
-        raise WrongDimension(f"a basis needs an integer dimension, got {obj!r:.80}") from None
+        d = obj["dimension"]
+    except TypeError:
+        d = None
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not float(d).is_integer():
+        raise WrongDimension(f"a basis needs an integer dimension, got {obj!r:.80}")
+    d = int(d)
     return build_basis(matrix_from_json(obj["vectors"]).reshape((d, d), order="F"))
 
 

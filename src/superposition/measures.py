@@ -162,12 +162,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def m_rel_ent(rho: DensityMatrix, basis: SuperpositionBasis,
               max_iter: int = 2000) -> MeasureResult:
-    """min_q S(rho || sum_i q_i |c_i><c_i|) by exponentiated-gradient descent."""
+    """min_q S(rho || sum_i q_i |c_i><c_i|) by damped Newton steps on the
+    simplex (mirror_descent_simplex).  The certificate is q; converged says
+    that the Frank-Wolfe gap at q is at most solvers.MIRROR_GAP (in nats)."""
     return _m_rel_ent_many([rho], basis, max_iter)[0]
 
 
 def _m_rel_ent_many(rhos, basis: SuperpositionBasis, max_iter: int = 2000) -> list:
-    """m_rel_ent of each state, all in one mirror_descent_simplex call."""
+    """m_rel_ent of each state, all in one mirror_descent_simplex call.
+    The objective is f(q) = Tr rho log rho - Tr rho log sigma(q) in nats,
+    and gradient(state, j) returns its gradient and Hessian in q."""
     for rho in rhos:
         _check_dims(rho.dimension, basis.dimension)
     d = basis.dimension
@@ -184,15 +188,37 @@ def _m_rel_ent_many(rhos, basis: SuperpositionBasis, max_iter: int = 2000) -> li
         return const[owner] - np.sum(A.diagonal(0, -2, -1).real * ls, axis=-1), (s, U, A, ls)
 
     def gradient(state, j):
-        # Frechet derivative of log via the Loewner matrix
+        # Frechet derivative of log via the Loewner matrix L (first divided
+        # differences of log at the eigenvalues of sigma), its second
+        # derivative via the second divided differences L2[a, c, b] (Bhatia,
+        # Matrix Analysis, ch. V)
         s, U, A, ls = (x[j] for x in state)
         diff = s[..., :, None] - s[..., None, :]
-        apart = np.abs(diff) > 1e-14
-        L = np.where(apart, (ls[..., :, None] - ls[..., None, :]) / np.where(apart, diff, 1.0),
-                     1.0 / s[..., :, None])
+        top = np.maximum(s[..., :, None], s[..., None, :])
+        # log(s_a / s_b) by log1p where s_a / s_b lies in (1/2, 2), so that
+        # near-equal eigenvalues keep every digit of their quotient
+        close = np.abs(diff) < 0.5 * top
+        safe = np.where(diff == 0.0, 1.0, diff)
+        L = np.where(diff == 0.0, 1.0 / s[..., :, None],
+                     np.where(close, np.log1p(np.where(close, diff, 0.0) / s[..., None, :]),
+                              ls[..., :, None] - ls[..., None, :]) / safe)
         B = U.conj().swapaxes(-1, -2) @ V
-        C = L * A.swapaxes(-1, -2)
-        return -np.einsum("...ai,...ab,...bi->...i", B, C, B.conj()).real
+        At = A.swapaxes(-1, -2)
+        g = -np.einsum("...ai,...ab,...bi->...i", B, L * At, B.conj()).real
+        # close pairs take the limit at the first point, so that no
+        # difference quotient loses more than half the digits
+        far = np.abs(diff) > 1e-8 * top
+        step = np.where(far, diff, 1.0)
+        dL = np.where(far, (1.0 / s[..., :, None] - L) / step,
+                      -0.5 / s[..., :, None] ** 2)  # d/dx log[x, s_c] at x = s_a
+        L2 = np.where(far[..., :, None, :],
+                      (L[..., :, :, None] - L[..., None, :, :]) / step[..., :, None, :],
+                      dL[..., :, :, None])
+        # K_ij = sum_c conj(B_ci) B_cj (B^T M_c conj(B))_ij, M_c[a, b] = A_ba L2[a, c, b]
+        M = L2.swapaxes(-3, -2) * At[..., None, :, :]
+        N = B.swapaxes(-1, -2)[..., None, :, :] @ M @ B.conj()[..., None, :, :]
+        K = (B.conj()[..., :, :, None] * B[..., :, None, :] * N).sum(axis=-3)
+        return g, -(K + K.swapaxes(-1, -2)).real
 
     found = mirror_descent_simplex(values, gradient, d, max_iter=max_iter, problems=len(rhos))
     return [MeasureResult(value=max(val / LN2, 0.0), certificate=q,

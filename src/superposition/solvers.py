@@ -18,12 +18,14 @@ tangent from each t to the next, and a tight centring polished by full
 Newton steps at the last t.  This brings the duality gap well below the
 test tolerances for the d <= 8 instances this package targets (Boyd &
 Vandenberghe, Convex Optimization, sections 11.3-11.5).  The relative-entropy
-projection onto the free simplex uses exponentiated-gradient (mirror)
-descent, ``mirror_descent_simplex``: it evaluates the objective on stacks of
-points, takes the gradient only where it steps, and tries the step sizes of
-its backtracking in pairs, in the order it would try them one at a time.
-The roof's Stiefel descent (``measures._stacked_riemannian_descent``) pairs
-its backtracking the same way: both descents try two step sizes per call.
+projection onto the free simplex, ``mirror_descent_simplex``, takes damped
+Newton steps on the simplex's affine hull, the KKT system solved like the
+barrier's Newton systems, with an exponentiated-gradient (mirror) step as
+the fallback where the Newton step fails; it evaluates the objective on
+stacks of points, takes the gradient and Hessian only where it steps, and
+tries the step sizes of its backtracking in pairs.  The roof's Stiefel
+descent (``measures._stacked_riemannian_descent``) pairs its backtracking
+the same way: both descents try two step sizes per call.
 
 Each iterative method is written once, for one problem, as a generator that
 yields its requests: ``_barrier_path``, ``_mirror_path``, the roof's
@@ -53,11 +55,13 @@ _PREDICTOR_HALVINGS = 10
 _POLISH_STEPS = 2
 NEWTON_MAX = 60
 BARRIER_RAISES = 8
-ARMIJO = 0.25  # sufficient-decrease fraction of the Newton decrement
+ARMIJO = 0.25  # sufficient-decrease fraction of the predicted decrease
 WEIGHT_RIDGE = 1e-10
-MIRROR_TOL = 1e-11
 MIRROR_FLOOR = 1e-12
-MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged when no step decreases
+MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged
+_GAP_ROUNDING = 1e-12  # Frank-Wolfe gap at which the simplex solve stops
+_RESOLVE = 1e-10  # Newton decrement below which a failed Armijo test is put down to rounding
+_KEEP = 0.01  # least fraction of a weight that one Newton step keeps
 
 
 def _drive(problems, one, many):
@@ -421,63 +425,106 @@ def min_dominating_diagonal(R: np.ndarray):
     return barrier_descent(*robustness_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
 
+def _newton_direction(g, H):
+    """The Newton step dq on the simplex's affine hull, from the KKT system
+    [H 1; 1^T 0][dq; nu] = [-g; 0], and its decrement -g.dq; None if the
+    solve fails or dq ascends by more than rounding.  A generator of
+    requests."""
+    d = len(g)
+    kkt = np.ones((d + 1, d + 1))
+    kkt[:d, :d] = H
+    kkt[d, d] = 0.0
+    try:
+        x = yield "solve", kkt, np.append(-g, 0.0)
+    except np.linalg.LinAlgError:
+        return None
+    decrement = float(-g @ x[:d])
+    return (x[:d], decrement) if decrement > -_RESOLVE else None
+
+
+def _first_armijo(q, val, g, trials, tvals):
+    """The first row j of trials whose value tvals[j] lies an ARMIJO fraction
+    of the predicted decrease g.(q - trials[j]) > 0 below val; None if none
+    does."""
+    drop = (q - trials) @ g
+    return next((j for j, v in enumerate(tvals.tolist())
+                 if drop[j] > 0 and v <= val - ARMIJO * drop[j]), None)
+
+
 def _mirror_path(d, max_iter):
     """mirror_descent_simplex for one problem, as a generator of its requests."""
     q = np.full(d, 1.0 / d)
     vals, state = yield "values", q[None]
     val, row = float(vals[0]), 0
     eta = 1.0
-    stall = 0
     it = 0
-    for it in range(1, max_iter + 1):
-        g = yield "gradient", state, row
-        step = g - g.min()  # shift for numerical stability of exp
-        while eta > 1e-14:
-            etas = [eta, 0.5 * eta] if 0.5 * eta > 1e-14 else [eta]
-            trials = np.maximum(q * np.exp(-np.array(etas)[:, None] * step), MIRROR_FLOOR)
+    polished = False
+    while True:
+        g, H = yield "gradient", state, row
+        gap = float(g @ q - g.min())
+        if gap <= _GAP_ROUNDING or polished or it == max_iter:
+            return q, val, it, gap <= MIRROR_GAP
+        it += 1
+        row = None
+        newton = yield from _newton_direction(g, H)
+        if newton is not None:
+            dq, decrement = newton
+            # q + dq and q + dq/2, where a weight that the step would take
+            # below _KEEP times its value shrinks to that instead, so that it
+            # blocks no other weight
+            trials = np.maximum(q + np.array([[1.0], [0.5]]) * dq, _KEEP * q)
             trials /= trials.sum(axis=1, keepdims=True)
             tvals, state = yield "values", trials
-            taken = [j for j, v in enumerate(tvals.tolist()) if v <= val + 1e-15]
-            if taken:
-                break
-            eta = 0.5 * etas[-1]
-        else:
-            return q, val, it, float(g @ q - g.min()) <= MIRROR_GAP
-        row = taken[0]
-        eta, tval = etas[row], float(tvals[row])
-        improvement = val - tval
-        q, val = trials[row], tval
-        eta = min(eta * 2.0, 1e3)
-        if improvement < MIRROR_TOL:
-            stall += 1
-            if stall >= 5:
-                return q, val, it, True
-        else:
-            stall = 0
-    return q, val, it, stall >= 5
+            row = _first_armijo(q, val, g, trials, tvals)
+            # where Armijo cannot resolve the decrease, take the full step,
+            # as barrier_descent's polish steps do, and stop
+            if row is None and decrement < _RESOLVE:
+                row, polished = 0, True
+        step = g - g.min()  # shift for numerical stability of exp
+        while row is None:  # the exponentiated-gradient fallback
+            if eta <= 1e-14:
+                return q, val, it, gap <= MIRROR_GAP
+            etas = np.array([eta, 0.5 * eta] if 0.5 * eta > 1e-14 else [eta])
+            trials = np.maximum(q * np.exp(-etas[:, None] * step), MIRROR_FLOOR)
+            trials /= trials.sum(axis=1, keepdims=True)
+            tvals, state = yield "values", trials
+            row = _first_armijo(q, val, g, trials, tvals)
+            eta = 0.5 * etas[-1] if row is None else min(2.0 * etas[row], 1e3)
+        q, val = trials[row], float(tvals[row])
 
 
 def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, problems=None):
     """Minimize a smooth convex function f over the probability simplex by
-    exponentiated-gradient descent with backtracking (Beck & Teboulle, Oper.
-    Res. Lett. 31, 2003).
+    damped Newton steps, from the uniform q.
 
     values(Q) evaluates f at each row of a (k, d) stack of simplex points and
-    returns (their values, state); gradient(state, j) returns the gradient of
-    f at row j of the stack that state came from, and is called only at the
-    points where a step is taken.  Each backtracking round tries the step
-    sizes eta and eta/2 from the same point in one values call and takes the
-    first that does not raise the value (eta alone once eta/2 <= 1e-14), so
-    the step sizes are tried in the same order as one at a time.  Returns
-    (q, value, iterations, converged).  When no step size decreases the
-    value, converged says whether the Frank-Wolfe gap <g, q> - min g is at
-    most MIRROR_GAP.
+    returns (their values, state); gradient(state, j) returns the gradient g
+    and Hessian H of f at row j of the stack that state came from, and is
+    called only at the points where a step is taken.  Each iteration solves
+    the KKT system [H 1; 1^T 0][dq; nu] = [-g; 0] for the Newton step dq on
+    the simplex's affine hull and tries q + dq and q + dq/2 in one values
+    call, a weight that the step would take below _KEEP times its value
+    shrinking to that instead, and renormalized; it takes the first trial
+    whose value lies an ARMIJO fraction of the predicted decrease g.(q -
+    trial) below f(q).  Where neither does and the Newton decrement -g.dq is
+    below _RESOLVE, so that Armijo's test cannot resolve the decrease, it
+    takes the full step, as barrier_descent's polish steps do, and stops.
+    Where the KKT solve fails, dq ascends, or neither trial passes, it takes
+    an exponentiated-gradient step instead (Beck & Teboulle, Oper. Res. Lett.
+    31, 2003): step sizes eta and eta/2 in one values call, halved until one
+    passes the same Armijo test, and stops if none does down to 1e-14.  It
+    stops once the Frank-Wolfe gap <g, q> - min g is at rounding level
+    (_GAP_ROUNDING) or after max_iter steps, and returns (q, value,
+    iterations, converged), converged saying whether that gap is at most
+    MIRROR_GAP.
 
     With problems=n it minimizes n functions, each as it would alone, and
     returns a list of their n tuples.  Several problems are evaluated
     together (_drive): values(Q, owner) then evaluates row i of Q for
-    problem owner[i], and gradient(state, J) returns the gradients at the
-    rows J; a lone one gets the one-problem calls, which are problem 0's.
+    problem owner[i], gradient(state, J) returns the stacks of gradients and
+    Hessians at the rows J, and the KKT systems of a round are solved as one
+    stack (_solve_many); a lone one gets the one-problem calls, which are
+    problem 0's.
     """
     # a reply to a values request locates its rows by (state, first row);
     # every gradient request of a round is at rows of the last round's call
@@ -489,9 +536,9 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
 
     def many_gradient(requests, owners):
         (state, _), _ = requests[0]
-        return list(gradient(state, np.array([a + j for (_, a), j in requests])))
+        return list(zip(*gradient(state, np.array([a + j for (_, a), j in requests]))))
 
     found = _drive([_mirror_path(d, max_iter) for _ in range(problems or 1)],
-                   {"values": values, "gradient": gradient},
-                   {"values": many_values, "gradient": many_gradient})
+                   {"values": values, "gradient": gradient, "solve": np.linalg.solve},
+                   {"values": many_values, "gradient": many_gradient, "solve": _solve_many})
     return found[0] if problems is None else found

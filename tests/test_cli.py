@@ -77,6 +77,18 @@ def test_gram_and_measure_reject_non_integer_dimension(files, capsys):
     assert "integer" in captured.err
 
 
+@pytest.mark.parametrize("dimension, code", [(2, 0), (2.0, 0), (2.9, 2), ("2", 2), (True, 2)])
+def test_gram_basis_file_needs_an_integral_dimension(tmp_path, capsys, dimension, code):
+    bas = tmp_path / "basis.json"
+    bas.write_text(json.dumps({"dimension": dimension, "vectors": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+    assert main(["gram", "--basis", str(bas)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "integer dimension" in captured.err
+    else:
+        assert json.loads(captured.out)["determinant"] == 1.0
+
+
 def test_measure_dispatches_every_measure(files, capsys):
     state, bas = files
     with open(state) as fh:
@@ -301,6 +313,9 @@ def test_same_outputs_script_names_the_fields_that_differ():
         "roof_search (7, 1, 'm_rank d=3 full#0'): differs in iterations")
     assert script.roof_diff(repr(line), repr(other)) == (
         "roof_search (7, 1, 'm_rank d=3 full#0'): differs in converged, certificate")
+    higher = line[:3] + ("1.75",) + line[4:]
+    assert script.roof_diff(repr(line), repr(higher)) == (
+        "roof_search (7, 1, 'm_rank d=3 full#0'): differs in value; value 1.5 -> 1.75 (+2.500e-01)")
     cli = (7, 1, "example1 mu=0.5", 0, "a\n")
     assert script.roof_diff(repr(cli), repr(cli[:4] + ("b\n",))) == (
         "roof_search (7, 1, 'example1 mu=0.5'): differs in stdout")
@@ -310,5 +325,7 @@ def test_same_outputs_script_names_the_fields_that_differ():
     assert script.stdout_diff(a, b) == "stdout differs in 'iterations'"
     assert script.stdout_diff(a, json.dumps({"value": 1.0})) == (
         "stdout differs in 'iterations', 'converged'")
+    assert script.stdout_diff(a, json.dumps({"value": 0.5, "iterations": 16, "converged": True})) == (
+        "stdout differs in 'value'; value 1.0 -> 0.5 (-5.000e-01)")
     assert script.stdout_diff(a, "other\n") == "stdout differs"
     assert script.stdout_diff("[1]", "[2]") == "stdout differs"
