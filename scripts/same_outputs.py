@@ -15,9 +15,10 @@ d=4 #2` of seed 4, on a random complex basis with cond(V) 4.6) and the
 robustness, weight, delta and l1_roof at d = 2, 3 and broken_l1 at d = 2;
 seed 1, 200 trials) as `axioms` commands, with PYTHONPATH=<root>/src and
 one BLAS thread, and compares exit code and stdout byte for byte, naming
-the top-level keys that differ when both stdouts are JSON objects.  Where a
-numeric "value" differs, the mismatch line gives the parent's, the child's
-and their signed difference, child minus parent.
+the top-level keys that differ when both stdouts are JSON objects, and each
+(axiom, field) pair that differs when both are JSON lists of axiom records.
+Where a numeric "value" or record field differs, the mismatch line gives the
+parent's, the child's and their signed difference, child minus parent.
 It also compares every item of the roof_search and block_barrier workloads
 of <root>/bench/workloads.py at seeds 7, 301 and 901: repr(value),
 iterations, converged and the certificate as MeasureResult.to_json() writes
@@ -116,11 +117,15 @@ def compare(parent: Path, child: Path, commands) -> list:
 
 def stdout_diff(out_a: str, out_b: str) -> str:
     """How two different stdouts differ: the top-level keys whose values
-    differ when both are JSON objects."""
+    differ when both are JSON objects, and each (axiom, field) pair that
+    differs, with parent and child values, when both are JSON lists of axiom
+    records."""
     try:
         a, b = json.loads(out_a), json.loads(out_b)
     except json.JSONDecodeError:
         return "stdout differs"
+    if _is_records(a) and _is_records(b):
+        return records_diff(a, b)
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return "stdout differs"
     keys = [k for k in dict.fromkeys([*a, *b]) if k not in a or k not in b or a[k] != b[k]]
@@ -130,13 +135,36 @@ def stdout_diff(out_a: str, out_b: str) -> str:
     return what
 
 
+def _is_records(x) -> bool:
+    return isinstance(x, list) and all(isinstance(r, dict) and "axiom" in r for r in x)
+
+
+def records_diff(a: list, b: list) -> str:
+    """The (axiom, field) pairs in which two lists of axiom records differ,
+    each as field_diff gives it."""
+    axioms_a, axioms_b = ([r["axiom"] for r in x] for x in (a, b))
+    if axioms_a != axioms_b:
+        return f"stdout differs in axioms {axioms_a} vs {axioms_b}"
+    pairs = [f"{r['axiom']} {field_diff(k, r.get(k), t.get(k))}"
+             for r, t in zip(a, b) for k in dict.fromkeys([*r, *t]) if r.get(k) != t.get(k)]
+    return f"stdout differs in {'; '.join(pairs) or 'formatting'}"
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def value_diff(parent: float, child: float) -> str:
-    """A differing value as parent, child and child - parent."""
-    return f"value {parent!r} -> {child!r} ({child - parent:+.3e})"
+def value_diff(parent: float, child: float, name: str = "value") -> str:
+    """A differing number as parent, child and child - parent."""
+    return f"{name} {parent!r} -> {child!r} ({child - parent:+.3e})"
+
+
+def field_diff(name: str, parent, child) -> str:
+    """A differing field as parent and child, and child - parent if both are
+    numbers."""
+    if _is_number(parent) and _is_number(child):
+        return value_diff(parent, child, name)
+    return f"{name} {json.dumps(parent)} -> {json.dumps(child)}"
 
 
 def dump_outputs(root: Path, workload: str) -> list:

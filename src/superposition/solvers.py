@@ -18,10 +18,9 @@ tangent from each t to the next, and a tight centring polished by full
 Newton steps at the last t.  This brings the duality gap well below the
 test tolerances for the d <= 8 instances this package targets (Boyd &
 Vandenberghe, Convex Optimization, sections 11.3-11.5).  The relative-entropy
-projection onto the free simplex, ``mirror_descent_simplex``, takes damped
-Newton steps on the simplex's affine hull, the KKT system solved like the
-barrier's Newton systems, with an exponentiated-gradient (mirror) step as
-the fallback where the Newton step fails; it evaluates the objective on
+projection onto the free simplex, ``mirror_descent_simplex``, takes Newton
+steps on the simplex's affine hull, damped where they fail, the KKT system
+solved like the barrier's Newton systems; it evaluates the objective on
 stacks of points, takes the gradient and Hessian only where it steps, and
 tries the step sizes of its backtracking in pairs.  The roof's Stiefel
 descent (``measures._stacked_riemannian_descent``) pairs its backtracking
@@ -57,11 +56,12 @@ NEWTON_MAX = 60
 BARRIER_RAISES = 8
 ARMIJO = 0.25  # sufficient-decrease fraction of the predicted decrease
 WEIGHT_RIDGE = 1e-10
-MIRROR_FLOOR = 1e-12
+MIRROR_FLOOR = 1e-12  # least weight of the simplex solve, about the resolution of sigma
 MIRROR_GAP = 1e-6  # Frank-Wolfe gap that counts as converged
 _GAP_ROUNDING = 1e-12  # Frank-Wolfe gap at which the simplex solve stops
 _RESOLVE = 1e-10  # Newton decrement below which a failed Armijo test is put down to rounding
 _KEEP = 0.01  # least fraction of a weight that one Newton step keeps
+_DAMP_MAX = 1e12  # damping at which a step moves q by rounding only, so the solve stops
 
 
 def _drive(problems, one, many):
@@ -425,14 +425,14 @@ def min_dominating_diagonal(R: np.ndarray):
     return barrier_descent(*robustness_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
 
-def _newton_direction(g, H):
-    """The Newton step dq on the simplex's affine hull, from the KKT system
-    [H 1; 1^T 0][dq; nu] = [-g; 0], and its decrement -g.dq; None if the
-    solve fails or dq ascends by more than rounding.  A generator of
-    requests."""
+def _newton_direction(g, H, q, damping):
+    """The step dq on the simplex's affine hull from the KKT system
+    [H + damping diag(1/q) 1; 1^T 0][dq; nu] = [-g; 0], the Newton step at
+    damping 0, and its decrement -g.dq; None if the solve fails or dq
+    ascends by more than rounding.  A generator of requests."""
     d = len(g)
     kkt = np.ones((d + 1, d + 1))
-    kkt[:d, :d] = H
+    kkt[:d, :d] = H + damping * np.diag(1.0 / q)
     kkt[d, d] = 0.0
     try:
         x = yield "solve", kkt, np.append(-g, 0.0)
@@ -456,40 +456,39 @@ def _mirror_path(d, max_iter):
     q = np.full(d, 1.0 / d)
     vals, state = yield "values", q[None]
     val, row = float(vals[0]), 0
-    eta = 1.0
+    carried = 1.0  # the first damping tried
     it = 0
     polished = False
     while True:
         g, H = yield "gradient", state, row
         gap = float(g @ q - g.min())
-        if gap <= _GAP_ROUNDING or polished or it == max_iter:
+        floored = gap - MIRROR_FLOOR * (g - g.min()).sum()  # the gap a floored q can close
+        if floored <= _GAP_ROUNDING or polished or it == max_iter:
             return q, val, it, gap <= MIRROR_GAP
         it += 1
-        row = None
-        newton = yield from _newton_direction(g, H)
-        if newton is not None:
-            dq, decrement = newton
-            # q + dq and q + dq/2, where a weight that the step would take
-            # below _KEEP times its value shrinks to that instead, so that it
-            # blocks no other weight
-            trials = np.maximum(q + np.array([[1.0], [0.5]]) * dq, _KEEP * q)
-            trials /= trials.sum(axis=1, keepdims=True)
-            tvals, state = yield "values", trials
-            row = _first_armijo(q, val, g, trials, tvals)
-            # where Armijo cannot resolve the decrease, take the full step,
-            # as barrier_descent's polish steps do, and stop
-            if row is None and decrement < _RESOLVE:
-                row, polished = 0, True
-        step = g - g.min()  # shift for numerical stability of exp
-        while row is None:  # the exponentiated-gradient fallback
-            if eta <= 1e-14:
+        damping, row = 0.0, None
+        while row is None:
+            if damping > _DAMP_MAX:
                 return q, val, it, gap <= MIRROR_GAP
-            etas = np.array([eta, 0.5 * eta] if 0.5 * eta > 1e-14 else [eta])
-            trials = np.maximum(q * np.exp(-etas[:, None] * step), MIRROR_FLOOR)
-            trials /= trials.sum(axis=1, keepdims=True)
-            tvals, state = yield "values", trials
-            row = _first_armijo(q, val, g, trials, tvals)
-            eta = 0.5 * etas[-1] if row is None else min(2.0 * etas[row], 1e3)
+            step = yield from _newton_direction(g, H, q, damping)
+            if step is not None:
+                dq, decrement = step
+                # q + dq and q + dq/2, where a weight that the step would take
+                # below _KEEP times its value, or below MIRROR_FLOOR, shrinks
+                # to that instead, so that it blocks no other weight
+                trials = np.maximum(q + np.array([[1.0], [0.5]]) * dq,
+                                    np.maximum(_KEEP * q, MIRROR_FLOOR))
+                trials /= trials.sum(axis=1, keepdims=True)
+                tvals, state = yield "values", trials
+                row = _first_armijo(q, val, g, trials, tvals)
+                # where Armijo cannot resolve the decrease, take the full
+                # step, as barrier_descent's polish steps do, and stop
+                if row is None and decrement < _RESOLVE:
+                    row, polished = 0, True
+            if row is None:
+                damping = 4.0 * damping if damping else carried
+        if damping:
+            carried = damping / 4.0
         q, val = trials[row], float(tvals[row])
 
 
@@ -501,22 +500,23 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
     returns (their values, state); gradient(state, j) returns the gradient g
     and Hessian H of f at row j of the stack that state came from, and is
     called only at the points where a step is taken.  Each iteration solves
-    the KKT system [H 1; 1^T 0][dq; nu] = [-g; 0] for the Newton step dq on
-    the simplex's affine hull and tries q + dq and q + dq/2 in one values
-    call, a weight that the step would take below _KEEP times its value
-    shrinking to that instead, and renormalized; it takes the first trial
-    whose value lies an ARMIJO fraction of the predicted decrease g.(q -
-    trial) below f(q).  Where neither does and the Newton decrement -g.dq is
-    below _RESOLVE, so that Armijo's test cannot resolve the decrease, it
-    takes the full step, as barrier_descent's polish steps do, and stops.
-    Where the KKT solve fails, dq ascends, or neither trial passes, it takes
-    an exponentiated-gradient step instead (Beck & Teboulle, Oper. Res. Lett.
-    31, 2003): step sizes eta and eta/2 in one values call, halved until one
-    passes the same Armijo test, and stops if none does down to 1e-14.  It
-    stops once the Frank-Wolfe gap <g, q> - min g is at rounding level
-    (_GAP_ROUNDING) or after max_iter steps, and returns (q, value,
-    iterations, converged), converged saying whether that gap is at most
-    MIRROR_GAP.
+    the KKT system [H + lam diag(1/q) 1; 1^T 0][dq; nu] = [-g; 0] for a step
+    dq on the simplex's affine hull and tries q + dq and q + dq/2 in one
+    values call, a weight that the step would take below _KEEP times its
+    value, or below MIRROR_FLOOR, shrinking to that instead, and
+    renormalized; it takes the first trial whose value lies an ARMIJO
+    fraction of the predicted decrease g.(q - trial) below f(q).  Where
+    neither does and the decrement -g.dq is below _RESOLVE, so that Armijo's
+    test cannot resolve the decrease, it takes the full step, as
+    barrier_descent's polish steps do, and stops.  lam is 0, the Newton
+    step, unless the KKT solve fails, dq ascends or neither trial passes;
+    then lam, diag(1/q) being the Hessian of the negative entropy, runs up
+    from a quarter of the last lam that passed (1 at first) in fourfold
+    rounds (Levenberg-Marquardt), and the solve stops past _DAMP_MAX.  It
+    also stops once <g, q> - min g, the Frank-Wolfe gap, less the part that
+    MIRROR_FLOOR keeps open, is at rounding level (_GAP_ROUNDING), or after
+    max_iter steps, and returns (q, value, iterations, converged), converged
+    saying whether the gap is at most MIRROR_GAP.
 
     With problems=n it minimizes n functions, each as it would alone, and
     returns a list of their n tuples.  Several problems are evaluated

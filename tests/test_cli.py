@@ -328,4 +328,15 @@ def test_same_outputs_script_names_the_fields_that_differ():
     assert script.stdout_diff(a, json.dumps({"value": 0.5, "iterations": 16, "converged": True})) == (
         "stdout differs in 'value'; value 1.0 -> 0.5 (-5.000e-01)")
     assert script.stdout_diff(a, "other\n") == "stdout differs"
+    # axiom campaign stdouts: each (axiom, field) pair that differs
+    records = [{"axiom": "S1", "max_slack": -0.5, "trials": 4, "violations": []},
+               {"axiom": "S2", "max_slack": -0.25, "trials": 4, "violations": []}]
+    moved = [records[0], dict(records[1], max_slack=-0.125, violations=[{"trial": 3}])]
+    assert script.stdout_diff(json.dumps(records, indent=1), json.dumps(records)) == (
+        "stdout differs in formatting")
+    assert script.stdout_diff(json.dumps(records), json.dumps(moved)) == (
+        "stdout differs in S2 max_slack -0.25 -> -0.125 (+1.250e-01); "
+        'S2 violations [] -> [{"trial": 3}]')
+    assert script.stdout_diff(json.dumps(records), json.dumps(records[::-1])) == (
+        "stdout differs in axioms ['S1', 'S2'] vs ['S2', 'S1']")
     assert script.stdout_diff("[1]", "[2]") == "stdout differs"

@@ -265,8 +265,8 @@ def test_rel_ent_hessian_matches_central_differences_of_its_gradient(d, monkeypa
 
 
 def test_mirror_descent_falls_back_where_the_newton_step_fails():
-    # a linear objective has H = 0, so its KKT matrix is singular and every
-    # step is the exponentiated-gradient one
+    # a linear objective has H = 0, so its KKT matrix is singular at zero
+    # damping and every step is a damped one
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.1])
 
     def values(Q):
@@ -279,6 +279,25 @@ def test_mirror_descent_falls_back_where_the_newton_step_fails():
     assert converged and np.abs(q - np.eye(5)[1]).max() < 1e-9 and val <= c.min() + 1e-9
 
 
+def _linear_objective(c, H):
+    """values and gradient of q.c, with the Hessian H reported."""
+    return (lambda Q: (Q @ c, Q)), (lambda Q, j: (c.copy(), H))
+
+
+def test_mirror_descent_carries_its_damping_from_step_to_step():
+    # damping restarted at 1 every iteration takes 242 iterations here
+    c = np.array([0.3, -0.2, 0.5, 0.1, -0.1])
+    q, val, it, converged = mirror_descent_simplex(*_linear_objective(c, np.zeros((5, 5))), 5)
+    assert converged and it <= 20
+
+
+def test_mirror_descent_stops_unconverged_where_no_damping_gives_a_step():
+    # a NaN Hessian makes the KKT solve unusable at every damping
+    c = np.array([0.3, -0.2, 0.5])
+    q, val, it, converged = mirror_descent_simplex(*_linear_objective(c, np.full((3, 3), np.nan)), 3)
+    assert not converged and it == 1 and np.array_equal(q, np.full(3, 1.0 / 3))
+
+
 @pytest.mark.parametrize("basis", [constant_overlap_basis(3, 0.5)]
                          + [_random_complex_basis(d, d) for d in (2, 3, 4, 6, 8)],
                          ids=["constant d=3"] + [f"random d={d}" for d in (2, 3, 4, 6, 8)])
@@ -286,6 +305,17 @@ def test_rel_ent_of_a_basis_state_is_zero(basis):
     # the optimum q = e_1 lies on the simplex's boundary
     res = m_rel_ent(PureState(basis.vectors[:, 0]).density(), basis)
     assert res.converged and res.value <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_rel_ent_of_every_basis_state_of_random_bases_is_zero(d):
+    # the optimum q = e_k is a vertex; the weights that fall towards zero
+    # must not take sigma's eigenvalues, and its gradient, to overflow
+    for seed in range(300, 310):
+        basis = _random_complex_basis(d, seed)
+        for k in range(d):
+            res = m_rel_ent(PureState(basis.vectors[:, k]).density(), basis)
+            assert res.converged and res.value <= 1e-9, (seed, k)
 
 
 def test_rel_ent_stacks_its_eigh_calls(monkeypatch):
