@@ -30,12 +30,16 @@ run twice in one process, so that a result that depends on what an earlier
 call left behind (a stale or mutated cached start or LMI plan) shows up as
 a mismatch.  The two roots run side by side.
 Each mismatch is printed with the fields that differ; the exit code is 1 if
-there is any, else 0.
+there is any, else 0.  The closing line counts the mismatches and names the
+largest relative change |child - parent| / max(1, |parent|) over every
+differing number they give, with its command or item, so that a change by
+rounding alone reads as such in one line.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -159,6 +163,22 @@ def value_diff(parent: float, child: float, name: str = "value") -> str:
     return f"{name} {parent!r} -> {child!r} ({child - parent:+.3e})"
 
 
+# value_diff's "parent -> child (+difference)", as largest_change reads it back
+_CHANGE = re.compile(r"(\S+) -> (\S+) \([+-]")
+
+
+def largest_change(mismatches) -> str:
+    """The largest relative change |child - parent| / max(1, |parent|) over
+    the differing numbers of the mismatch lines (value_diff's), with the
+    command or item of its line; "" if no line gives one."""
+    found = [(abs(float(b) - float(a)) / max(1.0, abs(float(a))), line.split(": ", 1)[0])
+             for line in mismatches for a, b in _CHANGE.findall(line)]
+    if not found:
+        return ""
+    change, where = max(found)
+    return f"; largest relative change {change:.3e} in {where}"
+
+
 def field_diff(name: str, parent, child) -> str:
     """A differing field as parent and child, and child - parent if both are
     numbers."""
@@ -244,7 +264,8 @@ def main(argv) -> int:
     for line in mismatches:
         print(line)
     print(f"{len(commands)} commands and the {' and '.join(DUMP_WORKLOADS)} items at seeds "
-          f"{', '.join(map(str, DUMP_SEEDS))}: {len(mismatches)} mismatches", file=sys.stderr)
+          f"{', '.join(map(str, DUMP_SEEDS))}: {len(mismatches)} mismatches"
+          + largest_change(mismatches), file=sys.stderr)
     return 1 if mismatches else 0
 
 

@@ -33,11 +33,17 @@ class SuperpositionBasis:
     duals: np.ndarray              # columns: unit-norm duals |c_i^perp>
     xi: np.ndarray                 # xi_i = <c_i^perp|c_i>, real positive
     biorthogonal_duals: np.ndarray  # columns chat_i with <chat_i|c_j> = delta_ij
+    coefficient_rounding: float    # eps ||V^-1||_2^2, the rounding of R = V^-1 rho V^-dag
 
     def __post_init__(self):
         for name in ("vectors", "gram", "duals", "biorthogonal_duals", "xi"):
             arr = getattr(self, name)
             arr.setflags(write=False)
+
+    def is_rounded_zero(self, part: np.ndarray, tol: float) -> bool:
+        """Whether every entry of part, a part of an oblique coefficient matrix
+        that vanishes on free states, is within tol + coefficient_rounding of 0."""
+        return bool(np.max(np.abs(part)) <= tol + self.coefficient_rounding)
 
     @property
     def is_real(self) -> bool:
@@ -113,6 +119,7 @@ def _assemble(V: np.ndarray, G: np.ndarray) -> SuperpositionBasis:
     return SuperpositionBasis(
         dimension=V.shape[0], vectors=V, gram=G, duals=bio / pre_norms,
         xi=1.0 / pre_norms, biorthogonal_duals=bio,
+        coefficient_rounding=float(np.finfo(float).eps * np.linalg.norm(bio, 2) ** 2),
     )
 
 

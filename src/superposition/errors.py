@@ -65,6 +65,10 @@ class InvalidPartition(SuperpositionError):
     pass
 
 
+class ProjectorMismatch(SuperpositionError):
+    """Oblique block projectors fail E_i E_j = delta_ij E_i or sum_i E_i = I."""
+
+
 class ZeroTrace(SuperpositionError):
     pass
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import SuperpositionBasis
 from .channels import KrausChannel, _oblique_channel, _permutation_channel, _probabilities
-from .errors import BlockSizeMismatch, InvalidPartition, ZeroTrace
+from .errors import BlockSizeMismatch, InvalidPartition, ProjectorMismatch, ZeroTrace
 from .measures import MeasureResult
 from .qstate import DensityMatrix, _check_dims, coefficients_of
 from .solvers import barrier_descent, robustness_barrier, weight_barrier
@@ -66,21 +66,20 @@ class ObliqueProjectors:
 
 def block_projectors(basis: SuperpositionBasis, partition: BlockPartition) -> ObliqueProjectors:
     """E_i = sum over the block of |c_k><chat_k| with biorthogonal duals, so
-    that E_i E_j = delta_ij E_i and sum_i E_i = I hold exactly."""
+    that E_i E_j = delta_ij E_i and sum_i E_i = I; ProjectorMismatch unless
+    each holds to 1e-9 relative to its projectors' norms, which grow with cond(V)."""
     if partition.dimension != basis.dimension:
         raise InvalidPartition(
             f"partition covers {partition.dimension} indices, basis has {basis.dimension}")
-    d = basis.dimension
     ops = [basis.vectors[:, b] @ basis.biorthogonal_duals[:, b].conj().T
            for b in partition.blocks]
-    proj = ObliqueProjectors(basis=basis, partition=partition, operators=tuple(ops))
-    ident = sum(ops)
-    assert np.max(np.abs(ident - np.eye(d))) < 1e-9
-    for i, Ei in enumerate(ops):
-        assert np.max(np.abs(Ei @ Ei - Ei)) < 1e-9
-        for Ej in ops[i + 1:]:
-            assert np.max(np.abs(Ei @ Ej)) < 1e-9
-    return proj
+    norms = [np.linalg.norm(E, 2) for E in ops]
+    checks = [(sum(ops) - np.eye(basis.dimension), sum(norms))] + [
+        (ops[i] @ ops[j] - (i == j) * ops[i], norms[i] * norms[j])
+        for i in range(len(ops)) for j in range(i, len(ops))]
+    if any(np.max(np.abs(residual)) > 1e-9 * scale for residual, scale in checks):
+        raise ProjectorMismatch("E_i E_j = delta_ij E_i or sum_i E_i = I fails")
+    return ObliqueProjectors(basis=basis, partition=partition, operators=tuple(ops))
 
 
 def _block_pinch(R: np.ndarray, partition: BlockPartition) -> np.ndarray:
@@ -108,7 +107,7 @@ def block_dephase(rho: DensityMatrix, projectors: ObliqueProjectors) -> DensityM
 def is_block_free(rho: DensityMatrix, projectors: ObliqueProjectors,
                   tol: float = 1e-9) -> bool:
     R = coefficients_of(rho, projectors.basis).entries
-    return bool(np.max(np.abs(R - _block_pinch(R, projectors.partition))) <= tol)
+    return projectors.basis.is_rounded_zero(R - _block_pinch(R, projectors.partition), tol)
 
 
 @dataclass(frozen=True)
@@ -196,14 +195,12 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
     working in oblique coordinates (congruence by V preserves positivity);
     solvers.weight_barrier gives the LMI and its start.
     """
-    basis = projectors.basis
-    partition = projectors.partition
-    R = coefficients_of(rho, basis).entries
-    pinched = _block_pinch(R, partition)
-    if np.max(np.abs(R - pinched)) <= 1e-10:  # is_block_free's test
+    R = coefficients_of(rho, projectors.basis).entries
+    pinched = _block_pinch(R, projectors.partition)
+    if projectors.basis.is_rounded_zero(R - pinched, 1e-10):  # is_block_free at tol 1e-10
         return MeasureResult(value=0.0, certificate={"B": pinched, "weight": 1.0})
-    G = basis.gram
-    problem, x0 = weight_barrier(R, G, partition.blocks)
+    G = projectors.basis.gram
+    problem, x0 = weight_barrier(R, G, projectors.partition.blocks)
     x, iters = barrier_descent(problem, x0)
     B = problem.matrix(x)[1]
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
@@ -216,14 +213,12 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     normalized is the closest block-free state in the robustness sense.
     solvers.robustness_barrier gives the LMI and its start.
     """
-    basis = projectors.basis
-    partition = projectors.partition
-    R = coefficients_of(rho, basis).entries
-    pinched = _block_pinch(R, partition)
-    if np.max(np.abs(R - pinched)) <= 1e-10:  # is_block_free's test
+    R = coefficients_of(rho, projectors.basis).entries
+    pinched = _block_pinch(R, projectors.partition)
+    if projectors.basis.is_rounded_zero(R - pinched, 1e-10):  # is_block_free at tol 1e-10
         return MeasureResult(value=0.0, certificate={"C": pinched})
-    G = basis.gram
-    problem, x0 = robustness_barrier(R, G, partition.blocks)
+    G = projectors.basis.gram
+    problem, x0 = robustness_barrier(R, G, projectors.partition.blocks)
     x, iters = barrier_descent(problem, x0)
     C = problem.matrix(x)[0] + R
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)

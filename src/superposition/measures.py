@@ -45,8 +45,9 @@ STEP_MIN = 1e-4
 # A roof search stops once the reported cost of a decomposition is within
 # this distance of the certified lower bound it was given.
 ROOF_GAP = 1e-9
-# A Stiefel descent start stops once its projected gradient is below this.
+# A Stiefel descent start stops below this projected gradient or after this many accepted steps.
 STIEFEL_GTOL = 1e-10
+STIEFEL_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -342,14 +343,15 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
     the factor only rescales the descent's steps.  The starts form one list
     (identity, free-leaning, opts.extra_starts, then seeded random
     isometries, which depend only on (n, r, opts.seed) and are built once
-    per process).  Each start shape's stack is evaluated once, as the start
-    check and as every search's start: given G, the shape's stacked
+    per process).  Every start is zero-padded to the largest row count (a
+    zero row is a member of weight 0) and the one stack is evaluated once,
+    as the start check and as every search's start: given G, one stacked
     Riemannian descent (_stacked_riemannian_descent), which tries its step
-    ladder in pairs, two step sizes per stacked call (a zero G stops every
-    search at its start); given G = None, a retracted pattern search per
-    start of at most opts.max_evals evaluations, the start's included.  Both
-    move T, with polar retraction, and accept only decreases.  lower is a
-    certified lower bound on the roof.
+    ladder in pairs (a zero G stops every search at its start); given
+    G = None, a retracted pattern search per unpadded start of at most
+    opts.max_evals evaluations, the start's included.  Both move T, with
+    polar retraction, and accept only decreases.  lower is a certified lower
+    bound on the roof.
     One rule picks the winner among the starts and, unless one is within
     ROOF_GAP of lower, among the searches: the lowest value, ties to the
     earlier start, every value within ROOF_GAP of lower counting as lowest,
@@ -393,28 +395,20 @@ def _roof_engine(rho: DensityMatrix, basis: SuperpositionBasis, opts: RoofOption
         T, val, _, conv = min(found, key=lambda f: max(f[1], lower + ROOF_GAP))
         return T, val, conv or val - lower <= ROOF_GAP
 
-    stacks, start_costs = [], np.empty(len(starts))
-    for shape in dict.fromkeys(T0.shape for T0 in starts):
-        idx = [i for i, T0 in enumerate(starts) if T0.shape == shape]
-        T0 = np.stack([starts[i] for i in idx])
-        stacks.append((idx, T0, *cost_grad(T0)))
-        start_costs[idx] = stacks[-1][2]
-    total = len(starts)
-    T, val, conv = best([(T0, float(v), 0, False) for T0, v in zip(starts, start_costs)])
+    T0 = np.zeros((len(starts), max(len(S) for S in starts), r), dtype=complex)
+    for row, S in zip(T0, starts):
+        row[:len(S)] = S
+    val0, G0 = cost_grad(T0)
+    found = [(S, float(v), 0, False) for S, v in zip(starts, val0)]
+    T, val, conv = best(found)
     if not conv:
-        found = [None] * len(starts)
-        for idx, T0, val0, G0 in stacks:
-            if G0 is None:
-                runs = [_pattern_search(lambda T: float(value_grad(Cc @ T.T)[0]),
-                                        starts[i], float(v), opts.max_evals)
-                        for i, v in zip(idx, val0)]
-            else:
-                runs = [(*f, True) for f in _stacked_riemannian_descent(cost_grad, T0, val0, G0)]
-            for i, run in zip(idx, runs):
-                found[i] = run
-        total += sum(f[2] for f in found)
+        if G0 is None:  # coordinate probes on a zero row would add members
+            found = [_pattern_search(lambda T: float(value_grad(Cc @ T.T)[0]),
+                                     S, float(v), opts.max_evals) for S, v in zip(starts, val0)]
+        else:
+            found = [(*f, True) for f in _stacked_riemannian_descent(cost_grad, T0, val0, G0)]
         T, val, conv = best(found)
-    return result(T, val, total, conv)
+    return result(T, val, len(starts) + sum(f[2] for f in found), conv)
 
 
 def _project_stiefel_tangent(T, G):
@@ -428,12 +422,12 @@ def _retract(M):
     return U @ Vh
 
 
-def _stiefel_path(T, val, PG, norm, max_iter):
+def _stiefel_path(T, val, PG, norm):
     """_stacked_riemannian_descent for one start, as a generator of its
     requests; each trial's reply is (T, value, PG, |PG|) at the trial point."""
     evals = iters = stall = 0
     step = 1.0
-    while not (norm < STIEFEL_GTOL or stall >= 5 or iters >= max_iter or step <= 1e-13):
+    while not (norm < STIEFEL_GTOL or stall >= 5 or iters >= STIEFEL_MAX_ITER or step <= 1e-13):
         steps = (step, 0.5 * step) if 0.5 * step > 1e-13 else (step,)
         trials = yield "trials", T, PG, steps
         # the first trial that lowers the value, else the last
@@ -449,7 +443,7 @@ def _stiefel_path(T, val, PG, norm, max_iter):
     return T, val, evals
 
 
-def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400):
+def _stacked_riemannian_descent(value_grad, T, val, G):
     """Backtracking gradient descent on the Stiefel manifold from each
     isometry of the stack T, from the values val and gradients G that the
     caller evaluated at T.
@@ -460,9 +454,9 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400):
     multiple changes the path taken, not the direction.  Every start keeps
     its own step size, stall counter and iteration count, so it follows the
     trajectory it would follow alone (_stiefel_path).  A start stops when
-    its projected gradient is below STIEFEL_GTOL, after max_iter accepted
-    steps, after 5 steps that each gain < 1e-11, or when its step falls to
-    1e-13.
+    its projected gradient is below STIEFEL_GTOL, after STIEFEL_MAX_ITER
+    accepted steps, after 5 steps that each gain < 1e-11, or when its step
+    falls to 1e-13.
     Returns (T, value, evaluations) per start, in order; evaluations counts
     trial points only.
 
@@ -484,7 +478,7 @@ def _stacked_riemannian_descent(value_grad, T, val, G, max_iter=400):
         found = iter(zip(cand, cval.tolist(), cPG, np.linalg.norm(cPG, axis=(-2, -1)).tolist()))
         return [[next(found) for _ in steps] for _, _, steps in requests]
 
-    paths = [_stiefel_path(*start, max_iter) for start in
+    paths = [_stiefel_path(*start) for start in
              zip(T, val.tolist(), PG, np.linalg.norm(PG, axis=(-2, -1)).tolist())]
     return _drive(paths, {"trials": lambda *args: trials([args], None)[0]}, {"trials": trials})
 

@@ -139,13 +139,12 @@ def pure_coefficients(phi: PureState, basis: SuperpositionBasis) -> np.ndarray:
 
 
 def is_free(rho: DensityMatrix, basis: SuperpositionBasis, tol: float = 1e-9) -> bool:
-    """A state is free when its oblique coefficient matrix is diagonal with
-    nonnegative diagonal."""
+    """A state is free when its oblique coefficient matrix R is diagonal with
+    nonnegative diagonal, up to tol and R's rounding (basis.is_rounded_zero)."""
     R = coefficients_of(rho, basis).entries
-    off = R - np.diag(np.diag(R))
-    if np.max(np.abs(off)) > tol:
-        return False
-    return bool(np.min(np.diag(R).real) >= -tol)
+    diag = np.diag(R)
+    # the off-diagonal part and the negative diagonal entries
+    return basis.is_rounded_zero(R - np.diag(diag - np.minimum(diag.real, 0.0)), tol)
 
 
 def free_state(basis: SuperpositionBasis, probs) -> DensityMatrix:

@@ -340,3 +340,14 @@ def test_same_outputs_script_names_the_fields_that_differ():
     assert script.stdout_diff(json.dumps(records), json.dumps(records[::-1])) == (
         "stdout differs in axioms ['S1', 'S2'] vs ['S2', 'S1']")
     assert script.stdout_diff("[1]", "[2]") == "stdout differs"
+    # the closing line: the largest |child - parent| / max(1, |parent|) of
+    # every differing number: 0.25 / 1.5 here, against 0.125 and 2 / 40
+    lines = [script.roof_diff(repr(line), repr(higher)),
+             "axioms --d 2: " + script.stdout_diff(json.dumps(records), json.dumps(moved)),
+             "measure: " + script.stdout_diff(json.dumps({"value": 40.0}),
+                                              json.dumps({"value": 42.0})),
+             "example1 --x-steps 5: stdout differs"]
+    assert script.largest_change(lines) == (
+        "; largest relative change 1.667e-01 in roof_search (7, 1, 'm_rank d=3 full#0')")
+    assert script.largest_change(lines[1:]) == "; largest relative change 1.250e-01 in axioms --d 2"
+    assert script.largest_change(lines[3:]) == ""

@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from superposition import (
     BlockKrausSpec,
     BlockPartition,
+    DensityMatrix,
     apply,
     block_dephase,
     block_projectors,
@@ -21,9 +25,10 @@ from superposition import (
     m_weight_generalized,
     partition_from_json,
     random_density,
+    random_free,
     rho_x,
 )
-from superposition.errors import BlockSizeMismatch, InvalidPartition
+from superposition.errors import BlockSizeMismatch, InvalidPartition, ProjectorMismatch
 from superposition.generalized import block_permutation_channel, random_block_free_channel
 
 
@@ -242,6 +247,47 @@ def test_singleton_certificates_are_optimal_on_ill_conditioned_basis(measure):
     V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     _assert_certificates_are_optimal(measure, build_basis(V / np.linalg.norm(V, axis=0)),
                                      [1, 2, 3])
+
+
+def _cubed_singular_value_basis():
+    """cond(V) 2.5e4, Gram determinant 2.4e-10, eps ||V^-1||_2^2 = 5.0e-8:
+    a complex Gaussian matrix with its singular values cubed."""
+    rng = np.random.default_rng(1)
+    U, s, Vh = np.linalg.svd(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    V = (U * s**3) @ Vh
+    return build_basis(V / np.linalg.norm(V, axis=0))
+
+
+ALL_CUTS = [cuts for k in range(4) for cuts in itertools.combinations((1, 2, 3), k)]
+
+
+def test_free_state_checks_hold_on_an_ill_conditioned_basis():
+    # the idempotence residuals reach 1.7e-9 here, with ||E_i||_2 = 2.8e3,
+    # and the rounding of a free state's off-diagonal coefficients 4.0e-9
+    basis = _cubed_singular_value_basis()
+    free = [random_free(basis, s) for s in range(20)]
+    assert all(is_free(rho, basis) for rho in free)
+    # a 1e-10 admixture moves the off-diagonal coefficients by 1.9e-3
+    mixed = DensityMatrix((1 - 1e-10) * free[0].matrix + 1e-10 * random_density(4, 4, 0).matrix)
+    assert not is_free(mixed, basis)
+    for cuts in ALL_CUTS:
+        proj = block_projectors(basis, contiguous_partition(4, cuts))
+        assert all(is_block_free(rho, proj) for rho in free)
+        assert is_block_free(mixed, proj) == (cuts == ())
+        for seed in range(3):
+            deph = block_dephase(random_density(4, 4, seed), proj)
+            assert is_block_free(deph, proj)
+            assert m_weight_generalized(deph, proj).value == 0.0
+            assert m_robustness_generalized(deph, proj).value == 0.0
+
+
+def test_projector_identities_raise_a_package_error():
+    # duals 10% too long break every identity; the check is no assert,
+    # which python -O would strip
+    basis = constant_overlap_basis(3, 0.4)
+    skewed = dataclasses.replace(basis, biorthogonal_duals=1.1 * basis.biorthogonal_duals)
+    with pytest.raises(ProjectorMismatch):
+        block_projectors(skewed, contiguous_partition(3, [1]))
 
 
 def test_generalized_measures_vanish_iff_block_free():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,31 +57,41 @@ def test_roof_closed_form_on_rho_x_family():
 
 def test_stacked_search_matches_single_start_searches(monkeypatch):
     # a rank-2 state at d = 3, cap r: 2x2 starts, the 3x2 free-leaning start
-    # and a 4-row extra start, searched together in stacks of one shape each
-    value_grads, starts, found = set(), [], []
-    search = measures._stacked_riemannian_descent
+    # and a 4-row extra start, zero-padded to 4 rows and searched in one stack
+    events, cost_grads, starts, found = [], [], [], []
+    search, l1_value_grad = measures._stacked_riemannian_descent, _l1_value_grad
 
     def recording(value_grad, T, val, G):
-        stack_found = search(value_grad, T, val, G)
-        value_grads.add(value_grad)
+        events.append("search")
+        cost_grads.append(value_grad)
         starts.extend(T)
-        found.extend(stack_found)
-        return stack_found
+        found.extend(search(value_grad, T, val, G))
+        return found[-len(T):]
 
     monkeypatch.setattr(measures, "_stacked_riemannian_descent", recording)
+    monkeypatch.setattr(measures, "_l1_value_grad",
+                        lambda X: events.append("cost") or l1_value_grad(X))
     rho, basis = random_density(3, 2, 5), constant_overlap_basis(3, 0.5)
     opts = RoofOptions(ensemble_size_cap=1, extra_starts=(random_isometry(4, 2, 1),),
                        **CAMPAIGN_ROOF_OPTS)
     res = m_l1_roof(rho, basis, opts)
-    (value_grad,) = value_grads  # one search per start shape, on one value_grad
-    assert sorted({T0.shape for T0 in starts}) == [(2, 2), (3, 2), (4, 2)]
+    # one start check, then one search, whose trials make the other calls
+    assert events[:2] == ["cost", "search"] and events.count("search") == 1
+    (cost_grad,) = cost_grads
+    rows = [int(T0.any(axis=1).sum()) for T0 in starts]
+    assert {T0.shape for T0 in starts} == {(4, 2)} and rows == [2, 3, 4] + [2] * 6
     assert len({evals for _, _, evals in found}) > 1
-    for T0, (T, val, evals) in zip(starts, found):
-        (T1, val1, evals1), = search(value_grad, T0[None], *value_grad(T0[None]))
-        assert np.array_equal(T, T1) and val == val1 and evals == evals1
-    # the report is the lowest search value, the cost of its end point
     Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
-    assert res.value == min(float(_l1_value_grad(Cc @ T.T)[0]) for T, _, _ in found)
+    for T0, n, (T, val, evals) in zip(starts, rows, found):
+        (T1, val1, evals1), = search(cost_grad, T0[None], *cost_grad(T0[None]))
+        assert np.array_equal(T, T1) and val == val1 and evals == evals1
+        # the padded rows stay exactly zero, so the members are the start's
+        assert not T[n:].any()
+        assert len(ensemble_from_isometry(rho, T).members) <= n
+    # the report is the lowest search value, the cost of its end point
+    costs = [float(_l1_value_grad(Cc @ T.T)[0]) for T, _, _ in found]
+    assert res.value == min(costs)
+    assert len(res.certificate.members) <= rows[costs.index(res.value)]
 
 
 def test_roof_reports_cheapest_not_penalized_winner():
@@ -363,10 +375,10 @@ VALUE_GRADS = {
 @pytest.mark.parametrize("cost", sorted(VALUE_GRADS))
 @pytest.mark.parametrize("d, cap", [(2, 1), (2, None), (3, 1), (3, None)])
 def test_stacked_start_checks_equal_per_start_costs(monkeypatch, cost, d, cap):
-    # the start checks are one cost call per start shape, on the stack of
-    # that shape's X, and give exactly the per-start costs; rank 2 at d = 3
-    # puts the 3 x 2 free-leaning start beside the 2 x 2 (cap r) or 4 x 2
-    # (cap r^2) others, and cap r^2 does so at d = 2
+    # the start check is one cost call on every start zero-padded to the
+    # largest row count; rank 2 at d = 3 puts the 3 x 2 free-leaning start
+    # beside the 2 x 2 (cap r) or 4 x 2 (cap r^2) others, and cap r^2 does
+    # so at d = 2
     rho, basis = random_density(d, 2, 3), constant_overlap_basis(d, 0.5)
     opts = RoofOptions(ensemble_size_cap=cap, **CAMPAIGN_ROOF_OPTS)
     value_grad = VALUE_GRADS[cost](basis)
@@ -377,20 +389,20 @@ def test_stacked_start_checks_equal_per_start_costs(monkeypatch, cost, d, cap):
         return calls[-1]
 
     def no_search(value_grad, T, val, G):  # records the starts, searches none
-        searched.extend(T)
+        searched.append(T)
         return [(T0, 1.0, 0) for T0 in T]
 
-    # lower = -1 keeps every start check short of the bound
+    # lower = -1 keeps every start check short of the bound, lower = inf
+    # lets the first start meet it
     monkeypatch.setattr(measures, "_stacked_riemannian_descent", no_search)
+    measures._roof_engine(rho, basis, opts, value_grad=recording, lower=math.inf)
+    assert len(calls) == 1 and not searched
+    calls.clear()
     measures._roof_engine(rho, basis, opts, value_grad=recording, lower=-1.0)
-    starts = searched
+    (starts,), ((val, _),) = searched, calls
+    assert starts.shape == (CAMPAIGN_ROOF_OPTS["restarts"], max(d, 2 if cap else 4), 2)
     Cc = basis.biorthogonal_duals.conj().T @ weighted_eigvecs(rho)
-    shapes = list(dict.fromkeys(T0.shape for T0 in starts))
-    assert len(shapes) == (1 if (d, cap) == (2, 1) else 2)
-    assert len(calls) == len(shapes)
-    for shape, (val, _) in zip(shapes, calls):
-        per_start = [float(value_grad(Cc @ T0.T)[0]) for T0 in starts if T0.shape == shape]
-        assert val.tolist() == per_start
+    assert val.tolist() == [float(value_grad(Cc @ T0.T)[0]) for T0 in starts]
 
 
 @pytest.mark.parametrize("cost, d, seed", [("l1", 3, 0), ("rank", 3, 0), ("rel_ent", 2, 1)])
@@ -541,8 +553,9 @@ def test_paired_descent_equals_one_trial_at_a_time_reference(monkeypatch):
         opts = RoofOptions(ensemble_size_cap=cap, restarts=restarts)
         for args in _descent_stacks(monkeypatch, rho, basis, opts, VALUE_GRADS[cost](basis)):
             for max_iter in (400, 3):
+                monkeypatch.setattr(measures, "STIEFEL_MAX_ITER", max_iter)
                 want = _one_trial_descent(*args, max_iter=max_iter)
-                got = search(*args, max_iter=max_iter)
+                got = search(*args)
                 assert len(got) == len(want)
                 for (T, val, evals), (T0, val0, evals0, why) in zip(got, want):
                     assert np.array_equal(T, T0) and val == val0 and evals == evals0
