@@ -32,12 +32,13 @@ yields its requests: ``_barrier_path``, ``_mirror_path``, the roof's
 ``_drive``, runs them all and alone picks between the one-problem and the
 stacked kernels that each solver hands it: a lone problem has each request
 answered at once, and many problems run in rounds, all pending requests of
-one kind answered by one call on their stack.  Given a stack of problems (a
-stack of starts for ``barrier_descent``, of R for the diagonal solvers,
-``problems=n`` for the mirror descent) a solver returns a list of results,
-each the one the problem gets alone: every stacked kernel is a stack of the
-one-problem kernels, bit for bit, and ``LogDetBarrier`` carries a leading
-problem axis.
+one kind answered by one call on their stack.  Every kernel answers with a
+value, a failure too (a singular solve answers None, a failed Cholesky
++inf), so the driver only passes replies along.  Given a stack of problems
+(starts for ``barrier_descent``, R for the diagonal solvers, ``problems=n``
+for the mirror descent) a solver returns a list of results, each the one the
+problem gets alone: every stacked kernel is a stack of the one-problem
+kernels, bit for bit, and ``LogDetBarrier`` carries a leading problem axis.
 """
 
 import functools
@@ -67,27 +68,20 @@ _DAMP_MAX = 1e12  # damping at which a step moves q by rounding only, so the sol
 def _drive(problems, one, many):
     """Run the problem generators to their return values, in order.
 
-    A problem yields requests (kind, *args) and is sent each reply, or has
-    the LinAlgError that the request raised thrown in at its yield; it may
-    also return before its first request.  A lone problem has each request
-    answered at once by one[kind](*args).  Several run in rounds: each round
-    takes every unfinished problem's pending request and answers all
-    requests of one kind by one call many[kind](requests, owners), the
-    requests' argument tuples and their problems' indices, which returns
-    the replies in order, a LinAlgError instance for a request that raised
-    one.
+    A problem yields requests (kind, *args) and is sent each reply, a value
+    even for a failure (a singular solve answers None); it may also return
+    before its first request.  A lone problem has each request answered at
+    once by one[kind](*args).  Several run in rounds: each round takes every
+    unfinished problem's pending request and answers all requests of one
+    kind by one call many[kind](requests, owners), the requests' argument
+    tuples and their problems' indices, which returns the replies in order.
     """
     if len(problems) == 1:
-        send, throw = problems[0].send, problems[0].throw
+        send = problems[0].send
         try:
             ask = send(None)
             while True:
-                try:
-                    reply = one[ask[0]](*ask[1:])
-                except np.linalg.LinAlgError as exc:
-                    ask = throw(exc)
-                else:
-                    ask = send(reply)
+                ask = send(one[ask[0]](*ask[1:]))
         except StopIteration as stop:
             return [stop.value]
     found = [None] * len(problems)
@@ -95,10 +89,8 @@ def _drive(problems, one, many):
     while replies:
         by_kind = {}
         for i, reply in replies.items():
-            path = problems[i]
             try:
-                kind, *args = (path.throw(reply) if isinstance(reply, np.linalg.LinAlgError)
-                               else path.send(reply))
+                kind, *args = problems[i].send(reply)
             except StopIteration as stop:
                 found[i] = stop.value
             else:
@@ -112,20 +104,21 @@ def _drive(problems, one, many):
 
 
 def _solve_many(requests, owners):
-    """np.linalg.solve for each (H, b) request as one stacked solve, or one
-    at a time if that raises, a singular H's reply being its LinAlgError."""
+    """np.linalg.solve for each (H, b) request as one stacked solve, or each
+    by _solve_or_none (None for a singular H) if that raises."""
     H, b = (np.stack(a) for a in zip(*requests))
     try:
         return list(np.linalg.solve(H, b[..., None])[..., 0])
     except np.linalg.LinAlgError:
-        return [_solve_or_error(*r) for r in requests]
+        return [_solve_or_none(*r) for r in requests]
 
 
-def _solve_or_error(H, b):
+def _solve_or_none(H, b):
+    """np.linalg.solve(H, b), or None if H is singular."""
     try:
         return np.linalg.solve(H, b)
-    except np.linalg.LinAlgError as exc:
-        return exc
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _newton_stage(x, fx, t, tol):
@@ -139,9 +132,8 @@ def _newton_stage(x, fx, t, tol):
         g, H = yield "grad_hess", x, t
         if iters == NEWTON_MAX:
             break
-        try:
-            dx = yield "solve", H, -g
-        except np.linalg.LinAlgError:
+        dx = yield "solve", H, -g
+        if dx is None:
             dx = -g
         decrement = float(-g @ dx)
         if decrement <= tol:
@@ -196,20 +188,17 @@ def _barrier_path(x, c):
             continue
         if last:
             break
-        try:
-            dx = (1.0 - BARRIER_SHRINK) * (yield "solve", H, g - c)
-        except np.linalg.LinAlgError:
-            pass  # no tangent step
-        else:
-            x, fx, moved = yield from _feasible_step(x, fx, dx, _PREDICTOR_HALVINGS)
+        dx = yield "solve", H, g - c
+        if dx is not None:  # else no tangent step
+            x, fx, moved = yield from _feasible_step(x, fx, (1.0 - BARRIER_SHRINK) * dx,
+                                                     _PREDICTOR_HALVINGS)
             total += moved
         t *= BARRIER_SHRINK
     for k in range(_POLISH_STEPS):
         if k:
             g, H = yield "grad_hess", x, t
-        try:
-            dx = yield "solve", H, -g
-        except np.linalg.LinAlgError:
+        dx = yield "solve", H, -g
+        if dx is None:
             dx = -g
         x, fx, moved = yield from _feasible_step(x, fx, dx, 0)
         if not moved:
@@ -252,7 +241,7 @@ def barrier_descent(problem, x):
 
     found = _drive([_barrier_path(row, problem.c) for row in np.atleast_2d(x)],
                    {"parts": problem.parts, "grad_hess": problem.grad_hess,
-                    "solve": np.linalg.solve},
+                    "solve": _solve_or_none},
                    {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
     return found if x.ndim == 2 else found[0]
 
@@ -434,9 +423,8 @@ def _newton_direction(g, H, q, damping):
     kkt = np.ones((d + 1, d + 1))
     kkt[:d, :d] = H + damping * np.diag(1.0 / q)
     kkt[d, d] = 0.0
-    try:
-        x = yield "solve", kkt, np.append(-g, 0.0)
-    except np.linalg.LinAlgError:
+    x = yield "solve", kkt, np.append(-g, 0.0)
+    if x is None:
         return None
     decrement = float(-g @ x[:d])
     return (x[:d], decrement) if decrement > -_RESOLVE else None
@@ -539,6 +527,6 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
         return list(zip(*gradient(state, np.array([a + j for (_, a), j in requests]))))
 
     found = _drive([_mirror_path(d, max_iter) for _ in range(problems or 1)],
-                   {"values": values, "gradient": gradient, "solve": np.linalg.solve},
+                   {"values": values, "gradient": gradient, "solve": _solve_or_none},
                    {"values": many_values, "gradient": many_gradient, "solve": _solve_many})
     return found[0] if problems is None else found

@@ -647,19 +647,16 @@ def test_neg_log_det_tells_apart_members_cholesky_rejects():
     assert out[3] == solvers._neg_log_det(F[3:])[0] == pytest.approx(-math.log(2.0))
 
 
-def test_drive_throws_a_singular_solve_into_its_own_problem_only():
-    # a stacked solve raises if one matrix is singular; the driver then
-    # solves one at a time and throws the error into that problem alone,
-    # at the yield where a lone problem gets it too
+def test_drive_sends_a_singular_solve_none_in_its_own_problem_only():
+    # a stacked solve raises if one matrix is singular; the kernel then
+    # solves one at a time and answers None to that problem alone, the
+    # reply a lone problem gets too
     def path(H):
-        try:
-            x = yield "solve", H, np.ones(2)
-        except np.linalg.LinAlgError:
-            return "singular"
-        return x
+        x = yield "solve", H, np.ones(2)
+        return "singular" if x is None else x
 
     Hs = [np.eye(2), np.zeros((2, 2)), np.array([[2.0, 1.0], [1.0, 3.0]])]
-    one = {"solve": np.linalg.solve}
+    one = {"solve": solvers._solve_or_none}
     alone = [solvers._drive([path(H)], one, None)[0] for H in Hs]
     together = solvers._drive([path(H) for H in Hs], one, {"solve": solvers._solve_many})
     assert alone[1] == together[1] == "singular"
