@@ -47,7 +47,6 @@ from .qstate import (
     coefficients_of,
     random_density,
     random_free,
-    rho_x,
     state_from_coefficients,
 )
 from .qstate import CoefficientMatrix
@@ -390,10 +389,10 @@ def oracle_weight_grid(rho: DensityMatrix, basis: SuperpositionBasis,
     return 1.0 - min(best, 1.0)
 
 
-def oracle_roof_grid_rho_x(x: float, mu: float, step: float = math.pi / 400) -> float:
-    """Two-member decompositions of rho(x) over a (mixing angle, relative
+def oracle_roof_grid(rho: DensityMatrix, basis: SuperpositionBasis,
+                     step: float = math.pi / 400) -> float:
+    """Two-member decompositions of rho over a (mixing angle, relative
     phase) grid; minimum of the ensemble-averaged l1 value."""
-    rho, basis = rho_x(x, mu)
     evals, evecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(evals)[::-1]
     lam = np.clip(evals[order], 0.0, None)
@@ -419,16 +418,15 @@ ORACLES = {
     "rel_ent_grid": ("rel_ent", oracle_rel_ent_grid),
     "robustness_grid": ("robustness", oracle_robustness_grid),
     "weight_grid": ("weight", oracle_weight_grid),
-    "roof_grid": ("l1_roof", None),  # special-cased: rho(x) family
+    "roof_grid": ("l1_roof", oracle_roof_grid),
 }
 
 
 def run_oracle_campaign(measure: str, oracle: str, trials: int = 50,
                         seed: int = 0, tol: float = 1e-3) -> AxiomReport:
-    """Compare the solver against brute force on random d=2 states (or the
-    rho(x) family for the roof oracle).  The random states are evaluated
-    together (_evaluate_many).  trials must be an integer >= 1 and seed an
-    integer >= 0 (ParameterOutOfRange otherwise)."""
+    """Compare the solver against brute force on random d=2 resource states,
+    evaluated together (_evaluate_many).  trials must be an integer >= 1 and
+    seed an integer >= 0 (ParameterOutOfRange otherwise)."""
     if oracle not in ORACLES:
         raise UnknownOracle(oracle)
     want_measure, oracle_fn = ORACLES[oracle]
@@ -436,20 +434,10 @@ def run_oracle_campaign(measure: str, oracle: str, trials: int = 50,
         raise UnknownOracle(f"oracle {oracle} checks {want_measure}, not {measure}")
     _require_options(seed, trials=trials)
     cfg = MEASURES[measure]
-    if oracle == "roof_grid":
-        rng = np.random.default_rng(seed)
-        found = []
-        for _ in range(trials):
-            x = float(rng.uniform(-0.45, 0.45))
-            rho, basis_x = rho_x(x, 0.5)
-            solver = cfg.fn(rho, basis_x, RoofOptions(ensemble_size_cap=2,
-                                                      restarts=6, seed=0)).value
-            found.append((np.array([x]), solver, oracle_roof_grid_rho_x(x, 0.5)))
-    else:
-        basis = constant_overlap_basis(2, 0.5)
-        states = [cfg.resource_sampler(basis, seed * 100069 + t) for t in range(trials)]
-        found = [(rho.matrix, res.value, oracle_fn(rho, basis))
-                 for rho, res in zip(states, _evaluate_many(cfg, states, basis))]
+    basis = constant_overlap_basis(2, 0.5)
+    states = [cfg.resource_sampler(basis, seed * 100069 + t) for t in range(trials)]
+    found = [(rho.matrix, res.value, oracle_fn(rho, basis))
+             for rho, res in zip(states, _evaluate_many(cfg, states, basis))]
     # checked two-sided, |solver - truth| <= tol: a roof decomposition may
     # cost more than the grid minimum by the search's error, and less by the
     # grid's discretization error

@@ -497,11 +497,14 @@ def _l1_value_grad(X):
 def _rank_value_grad(X, V, tol):
     """Ensemble rank cost sum_m p_m log2 #{i : |X_im| > tol sqrt(p_m)} over the
     members m with p_m = |V @ X[:, m]|^2 >= MEMBER_TOL, for X or each matrix of
-    a stack, and its gradient: zero, as the cost is piecewise constant."""
+    a stack, and its gradient: zero, as the cost is piecewise constant.  The
+    cost is rounded to 12 decimals, far above its rounding and far below
+    ROOF_GAP, so that ensembles of equal cost compare equal whatever shape
+    BLAS sees, and the roof's min keeps the earliest start among them."""
     p = (np.abs(V @ X) ** 2).sum(axis=-2)
     counts = (np.abs(X) > tol * np.sqrt(p)[..., None, :]).sum(axis=-2)
     terms = np.where(p < MEMBER_TOL, 0.0, p * np.log2(np.maximum(counts, 1)))
-    return terms.sum(axis=-1), np.zeros_like(X)
+    return np.round(terms.sum(axis=-1), 12), np.zeros_like(X)
 
 
 def _rel_ent_value_grad(X, basis):

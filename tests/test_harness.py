@@ -11,6 +11,7 @@ from superposition import (
     constant_overlap_basis,
     random_density,
     random_free,
+    rho_x,
     run_axiom_campaign,
     run_oracle_campaign,
 )
@@ -104,6 +105,13 @@ def test_oracle_campaign_small():
     assert r.passed
     r = run_oracle_campaign("l1_roof", "roof_grid", trials=4, seed=1)
     assert r.passed
+
+
+def test_roof_grid_oracle_meets_the_closed_form_on_rho_x():
+    # the example1 family: the l1 roof of rho(x) is 2|x| / (1 + 2 mu x)
+    for x in (-0.4, -0.1, 0.2, 0.45):
+        rho, basis = rho_x(x, 0.5)
+        assert abs(harness.oracle_roof_grid(rho, basis) - 2 * abs(x) / (1 + x)) < 1e-4
 
 
 def test_campaigns_reject_trials_below_one():

@@ -663,6 +663,105 @@ def test_drive_sends_a_singular_solve_none_in_its_own_problem_only():
     assert np.array_equal(alone[0], together[0]) and np.array_equal(alone[2], together[2])
 
 
+def _solve_site(path):
+    """Where a suspended barrier or simplex path waits for a solve reply:
+    newton (_newton_stage), tangent or polish (_barrier_path) or kkt
+    (_newton_direction)."""
+    while path.gi_yieldfrom is not None:
+        path = path.gi_yieldfrom
+    name = path.gi_code.co_name
+    if name == "_barrier_path":  # k counts the polish steps
+        return "polish" if "k" in path.gi_frame.f_locals else "tangent"
+    return {"_newton_stage": "newton", "_newton_direction": "kkt"}[name]
+
+
+def _singular_solve(monkeypatch, name, site, problem):
+    """Wrap the path generator solvers.<name> so that the problem-th path
+    made (0-based) sends a zero matrix with its first solve request at
+    site, so that the solve kernel answers it None.  Returns the log that
+    the run fills: the last grad_hess request before it, the original and
+    the sent request, the reply and the request that follows."""
+    make = getattr(solvers, name)
+    made = iter(range(3))
+    log = {}
+
+    def rigged(*args):
+        path, mine, reply = make(*args), next(made) == problem, None
+        while True:
+            try:
+                ask = path.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if mine and "reply" in log and "next" not in log:
+                log["next"] = ask
+            elif mine and ask[0] == "grad_hess" and "sent" not in log:
+                log["grad_hess"] = ask
+            elif mine and ask[0] == "solve" and "sent" not in log and _solve_site(path) == site:
+                log["asked"], ask = ask, ("solve", np.zeros_like(ask[1]), ask[2])
+                log["sent"] = ask
+            reply = yield ask
+            if mine and ask is log.get("sent"):
+                log["reply"] = reply
+
+    monkeypatch.setattr(solvers, name, rigged)
+    return log
+
+
+def _assert_fallback(site, log):
+    kind, *args = log["next"]
+    assert log["reply"] is None
+    if site in ("newton", "polish"):  # a step along -g, the solve's b
+        x = log["grad_hess"][1]
+        assert kind == "parts" and np.array_equal(args[0], x + log["asked"][2])
+    elif site == "tangent":  # skipped: the next stage starts where this one ended
+        _, x, t = log["grad_hess"]
+        assert kind == "grad_hess" and args[0] is x and args[1] == t * solvers.BARRIER_SHRINK
+    else:  # the same KKT system, damped on its diagonal
+        damped = args[0] - log["asked"][1]
+        d = len(damped) - 1
+        assert kind == "solve" and np.array_equal(args[1], log["asked"][2])
+        assert np.array_equal(damped, np.diag(np.diag(damped)))
+        assert (np.diag(damped)[:d] > 0).all() and damped[d, d] == 0.0
+
+
+@pytest.mark.parametrize("site", ["newton", "tangent", "polish", "kkt"])
+def test_a_singular_solve_takes_its_fallback_alone_and_in_a_stack(monkeypatch, site):
+    # the failing problem gets the same bits lone and in a stack of three,
+    # and the other two get those of their lone runs without a failure
+    basis = constant_overlap_basis(3, 0.5)
+    rhos = [random_density(3, 3, s) for s in range(3)]
+    if site == "kkt":
+        name = "_mirror_path"
+
+        def solve(states):
+            return [(r.value, r.certificate, r.iterations, r.converged)
+                    for r in measures._m_rel_ent_many(states, basis)]
+        problems = rhos
+    else:
+        name = "_barrier_path"
+
+        def solve(R):
+            return [tuple(found) for found in solvers.max_weight_diagonal(np.stack(R))]
+        problems = [coefficients_of(rho, basis).entries for rho in rhos]
+
+    def same(a, b):
+        return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    plain = [solve([p])[0] for p in problems]
+    for fails in range(3):
+        with monkeypatch.context() as m:
+            log = _singular_solve(m, name, site, 0)
+            alone = solve([problems[fails]])[0]
+        _assert_fallback(site, log)
+        assert not same(alone, plain[fails])
+        with monkeypatch.context() as m:
+            log = _singular_solve(m, name, site, fails)
+            together = solve(problems)
+        _assert_fallback(site, log)
+        assert same(together[fails], alone)
+        assert all(same(together[i], plain[i]) for i in range(3) if i != fails)
+
+
 def test_drive_takes_a_problem_that_returns_before_its_first_request():
     # a problem may be done on entry, as a roof start whose projected
     # gradient is already below gtol; lone or among others it returns its

@@ -191,6 +191,30 @@ def test_rank_roof_certificate_reproduces_value():
         assert res.iterations <= CAMPAIGN.restarts
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_roof_certificate_is_the_same_for_padded_and_lone_start_costs(monkeypatch, seed):
+    # every start of a rank-deficient d = 4 state costs 2 bits up to
+    # rounding, which differs between the padded start stack and each start
+    # costed alone at its own shape; equal costs must compare equal, so
+    # that both ways pick the same (earliest) start
+    rho, basis = random_density(4, 3, seed), constant_overlap_basis(4, 0.5)
+    search = measures._stacked_riemannian_descent
+    seen = []
+
+    def spy(cost_grad, T0, val0, G0):
+        seen.append((cost_grad, T0))
+        return search(cost_grad, T0, val0, G0)
+
+    monkeypatch.setattr(measures, "_stacked_riemannian_descent", spy)
+    res = m_rank(rho, basis, CAMPAIGN)
+    (cost_grad, T0), = seen
+    starts = [T[np.abs(T).sum(axis=1) > 0] for T in T0]  # without their zero rows
+    alone = [float(cost_grad(S)[0]) for S in starts]
+    assert max(alone) - min(alone) < 1e-12 and res.value == min(alone)
+    first = alone.index(min(alone))
+    assert res.certificate.to_json() == ensemble_from_isometry(rho, starts[first]).to_json()
+
+
 def test_rel_ent_roof_dominates_rel_ent():
     rho, basis = rho_x(0.25, 0.5)
     opts = RoofOptions(ensemble_size_cap=2, restarts=3, max_evals=800)
