@@ -682,7 +682,7 @@ def _singular_solve(monkeypatch, name, site, problem):
     the run fills: the last grad_hess request before it, the original and
     the sent request, the reply and the request that follows."""
     make = getattr(solvers, name)
-    made = iter(range(3))
+    made = iter(range(3))  # a run makes at most three paths
     log = {}
 
     def rigged(*args):
