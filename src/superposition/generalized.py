@@ -200,8 +200,8 @@ def m_weight_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) -> M
     if projectors.basis.is_rounded_zero(R - pinched, 1e-10):  # is_block_free at tol 1e-10
         return MeasureResult(value=0.0, certificate={"B": pinched, "weight": 1.0})
     G = projectors.basis.gram
-    problem, x0 = weight_barrier(R, G, projectors.partition.blocks)
-    x, iters = barrier_descent(problem, x0)
+    problem, x0 = weight_barrier(R[None], G, projectors.partition.blocks)
+    [(x, iters)] = barrier_descent(problem, x0)
     B = problem.matrix(x)[1]
     weight = float(np.clip(np.trace(B @ G).real, 0.0, 1.0))
     return MeasureResult(value=1.0 - weight, certificate={"B": B, "weight": weight},
@@ -218,8 +218,8 @@ def m_robustness_generalized(rho: DensityMatrix, projectors: ObliqueProjectors) 
     if projectors.basis.is_rounded_zero(R - pinched, 1e-10):  # is_block_free at tol 1e-10
         return MeasureResult(value=0.0, certificate={"C": pinched})
     G = projectors.basis.gram
-    problem, x0 = robustness_barrier(R, G, projectors.partition.blocks)
-    x, iters = barrier_descent(problem, x0)
+    problem, x0 = robustness_barrier(R[None], G, projectors.partition.blocks)
+    [(x, iters)] = barrier_descent(problem, x0)
     C = problem.matrix(x)[0] + R
     value = max(float(np.trace(C @ G).real) - 1.0, 0.0)
     return MeasureResult(value=value, certificate={"C": C}, iterations=iters)

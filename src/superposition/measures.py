@@ -522,7 +522,7 @@ def _rel_ent_value_grad(X, basis):
     val, grad = np.zeros(p.shape), np.zeros(X.shape, dtype=complex)
     members = [((*k, slice(None), m), (*k, m)) for *k, m in zip(*np.nonzero(p >= MEMBER_TOL))]
     found = _m_rel_ent_many([PureState(raw[col] / math.sqrt(p[at])).density()
-                             for col, at in members], basis, 400)
+                             for col, at in members], basis)
     s, U = np.linalg.eigh((V * np.array([res.certificate for res in found])[:, None, :])
                           @ V.conj().T)
     log_sigma = (U * np.log(np.clip(s, 1e-300, None))[:, None, :]) @ U.conj().swapaxes(-1, -2)
@@ -545,6 +545,12 @@ def ensemble_warm_start(rho: DensityMatrix, weighted_members) -> np.ndarray:
     return (np.linalg.pinv(B) @ raw).T
 
 
+def _pure_value(pure_measure, phi: PureState) -> float:
+    """pure_measure(phi), or its value if it returns a MeasureResult."""
+    found = pure_measure(phi)
+    return found.value if isinstance(found, MeasureResult) else found
+
+
 def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
                 pure_measure: Callable[[PureState], float],
                 opts: RoofOptions = RoofOptions()) -> MeasureResult:
@@ -552,8 +558,9 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
     pure-state measure, searched on that average itself; the result is the
     cost of the returned decomposition, an upper bound on the true roof.
 
-    pure_measure must be nonnegative, as every superposition measure is:
-    0 is its lower bound for the roof engine.  It needs no gradient: each
+    pure_measure may return a MeasureResult (m_rank_pure), whose value is
+    read, and must be nonnegative, as every superposition measure is: 0 is
+    its lower bound for the roof engine.  It needs no gradient: each
     start is searched by the derivative-free retracted pattern search, at
     most opts.max_evals evaluations.
     """
@@ -566,7 +573,7 @@ def convex_roof(rho: DensityMatrix, basis: SuperpositionBasis,
             for v in raw[k].T:
                 p = float(np.sum(np.abs(v) ** 2))
                 if p >= MEMBER_TOL:
-                    total[k] += p * pure_measure(PureState(v / math.sqrt(p)))
+                    total[k] += p * _pure_value(pure_measure, PureState(v / math.sqrt(p)))
         return total, None
 
     return _roof_engine(rho, basis, opts, value_grad)
@@ -701,8 +708,9 @@ def max_measure_value(basis: SuperpositionBasis,
                       restarts: int = 16, seed: int = 0,
                       max_evals: int = 4000) -> float:
     """Best-effort maximum of a pure-state measure over the unit sphere, by
-    the retracted pattern search over d x 1 isometries from seeded starts.
-    restarts and max_evals must be integers >= 1, and seed an integer >= 0
+    the retracted pattern search over d x 1 isometries from seeded starts;
+    pure_measure may return a MeasureResult, whose value is read.  restarts
+    and max_evals must be integers >= 1, and seed an integer >= 0
     (ParameterOutOfRange otherwise)."""
     _require_options(seed, restarts=restarts, max_evals=max_evals)
     d = basis.dimension
@@ -710,7 +718,7 @@ def max_measure_value(basis: SuperpositionBasis,
         return 0.0
 
     def cost(T):
-        return -pure_measure(PureState(T[:, 0]))
+        return -_pure_value(pure_measure, PureState(T[:, 0]))
 
     best = 0.0
     for restart in range(restarts):

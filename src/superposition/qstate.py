@@ -158,10 +158,9 @@ def free_state(basis: SuperpositionBasis, probs) -> DensityMatrix:
 
 
 def clip_to_psd(matrix: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize the trace.
-
-    Never applied silently by the package; callers opt in.
-    """
+    """Clip negative eigenvalues and renormalize the trace.  The package
+    applies it to certificates, never to values: to the tau of m_weight's
+    and m_robustness's certificates."""
     evals, evecs = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
     evals = np.clip(evals, 0.0, None)
     out = (evecs * evals) @ evecs.conj().T

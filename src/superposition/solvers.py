@@ -34,10 +34,11 @@ stacked kernels that each solver hands it: a lone problem has each request
 answered at once, and many problems run in rounds, all pending requests of
 one kind answered by one call on their stack.  Every kernel answers with a
 value, a failure too (a singular solve answers None, a failed Cholesky
-+inf), so the driver only passes replies along.  Given a stack of problems
-(starts for ``barrier_descent``, R for the diagonal solvers, ``problems=n``
-for the mirror descent) a solver returns a list of results, each the one the
-problem gets alone: every stacked kernel is a stack of the one-problem
++inf), so the driver only passes replies along.  Every solver takes a
+stack of problems, a stack of one included, and returns a list of results,
+one per problem (starts for ``barrier_descent``, R for the barrier builders
+and the diagonal solvers, ``problems`` for the mirror descent), each the one
+the problem gets alone: every stacked kernel is a stack of the one-problem
 kernels, bit for bit, and ``LogDetBarrier`` carries a leading problem axis.
 """
 
@@ -207,10 +208,10 @@ def _barrier_path(x, c):
     return x, total
 
 
-def barrier_descent(problem, x):
-    """Predictor-corrector barrier path for the LogDetBarrier problem, from
-    the start x in its domain (Boyd & Vandenberghe, Convex Optimization,
-    sections 11.3-11.5).
+def barrier_descent(problem, X):
+    """Predictor-corrector barrier path for each LogDetBarrier problem of
+    the stack, from row n of X, in problem n's domain (Boyd & Vandenberghe,
+    Convex Optimization, sections 11.3-11.5).
 
     Stages run at t = BARRIER_T0, shrinking by BARRIER_SHRINK down to
     BARRIER_TMIN.  Every stage but the last centres loosely, to a Newton
@@ -223,13 +224,10 @@ def barrier_descent(problem, x):
     _POLISH_STEPS full Newton steps, each kept only while it stays in the
     domain: the Armijo test cannot resolve the last digits of f_t at small
     t.  A stage that uses all NEWTON_MAX steps is followed by one a grid
-    step higher, at most BARRIER_RAISES times.  Returns (x, total Newton
-    iterations), predictor and polish included.
-
-    Given a stack of starts x, one row per problem of the stack, it follows
-    every path as it would alone and returns a list of those pairs
-    (_drive): a lone problem is evaluated by problem.parts(x) and
-    problem.grad_hess(x, t), several together by the stacked forms of both.
+    step higher, at most BARRIER_RAISES times.  Returns a list of (x, total
+    Newton iterations), predictor and polish included, one per row of X,
+    each as it would be alone (_drive): a lone problem is evaluated by
+    problem.parts and problem.grad_hess, several by their stacked forms.
     """
     def many_parts(requests, owners):
         obj, barrier = problem.parts(np.stack([x for x, in requests]), owners)
@@ -239,11 +237,10 @@ def barrier_descent(problem, x):
         X, T = np.stack([x for x, _ in requests]), np.array([t for _, t in requests])
         return list(zip(*problem.grad_hess(X, T, owners)))
 
-    found = _drive([_barrier_path(row, problem.c) for row in np.atleast_2d(x)],
-                   {"parts": problem.parts, "grad_hess": problem.grad_hess,
-                    "solve": _solve_or_none},
-                   {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
-    return found if x.ndim == 2 else found[0]
+    return _drive([_barrier_path(x, problem.c) for x in X],
+                  {"parts": problem.parts, "grad_hess": problem.grad_hess,
+                   "solve": _solve_or_none},
+                  {"parts": many_parts, "grad_hess": many_grad_hess, "solve": _solve_many})
 
 
 def _hermitian_coordinates(blocks):
@@ -316,16 +313,17 @@ class LogDetBarrier:
     F_pk, the F_pk those of plan (_lmi_plan).  The problems share K and the
     F_pk.
 
-    barrier_descent(problem, x) solves it from x.  c = Tr(K F_k) is the
-    objective's gradient; parts(x) returns c.x and -log det F(x), +inf
-    outside the domain, both from one Cholesky; grad_hess(x, t) returns the
-    gradient and Hessian of f_t = c.x - t log det F(x).  With W = F(x)^-1
-    the barrier's gradient is -Tr(W F_k) and its Hessian Tr(W F_k W F_l)
-    (Boyd & Vandenberghe, section 11.6); each F_pk has at most two nonzero
-    entries, so the Hessian is gathered from W by index.  A point x belongs
-    to problem owner; a stack of points X has row i in problem owner[i], at
-    weight t[i].  Every stacked product is a stack of the one-point
-    products, so each row gets the bits it would get alone.
+    barrier_descent(problem, X) solves problem n from row n of X.
+    c = Tr(K F_k) is the objective's gradient; parts(x) returns c.x and
+    -log det F(x), +inf outside the domain, both from one Cholesky;
+    grad_hess(x, t) returns the gradient and Hessian of
+    f_t = c.x - t log det F(x).  With W = F(x)^-1 the barrier's gradient is
+    -Tr(W F_k) and its Hessian Tr(W F_k W F_l) (Boyd & Vandenberghe,
+    section 11.6); each F_pk has at most two nonzero entries, so the Hessian
+    is gathered from W by index.  A point x belongs to problem owner; a
+    stack of points X has row i in problem owner[i], at weight t[i].  Every
+    stacked product is a stack of the one-point products, so each row gets
+    the bits it would get alone.
     """
 
     def __init__(self, F0, K, plan):
@@ -343,13 +341,13 @@ class LogDetBarrier:
     def parts(self, x: np.ndarray, owner=0):
         F = self.matrix(x, owner)
         self._last = x, F  # barrier_descent takes grad_hess where it last took parts
-        if x.ndim == 2:
-            return (x[:, None, :] @ self.c[:, None])[:, 0, 0], _neg_log_det(F)
-        try:
-            L = np.linalg.cholesky(F)
-        except np.linalg.LinAlgError:
-            return float(self.c @ x), np.inf
-        return float(self.c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
+        if x.ndim == 1:
+            try:
+                L = np.linalg.cholesky(F)
+            except np.linalg.LinAlgError:
+                return float(self.c @ x), np.inf
+            return float(self.c @ x), -2.0 * float(np.log(L.diagonal(0, 1, 2).real).sum())
+        return (x[:, None, :] @ self.c[:, None])[:, 0, 0], _neg_log_det(F)
 
     def grad_hess(self, x: np.ndarray, t, owner=0):
         x_last, F = self._last
@@ -364,52 +362,48 @@ class LogDetBarrier:
 
 
 def weight_barrier(R: np.ndarray, G: np.ndarray, blocks):
-    """max Tr(B G) over block-diagonal 0 <= B <= R + WEIGHT_RIDGE*I as the
-    LMI diag(R + WEIGHT_RIDGE*I - B, B) > 0; the ridge keeps an interior for
-    rank-deficient R.  Returns (problem, start), the start
-    0.5*max(lambda_min(R + WEIGHT_RIDGE*I), WEIGHT_RIDGE)*I being feasible
-    for every partition.  Given a stack of R, one problem each and a stack
-    of starts."""
+    """max Tr(B G) over block-diagonal 0 <= B <= R + WEIGHT_RIDGE*I, for
+    each R of the stack, as the LMI diag(R + WEIGHT_RIDGE*I - B, B) > 0; the
+    ridge keeps an interior for rank-deficient R.  Returns (problem, starts),
+    one start per R, 0.5*max(lambda_min(R + WEIGHT_RIDGE*I), WEIGHT_RIDGE)*I,
+    feasible for every partition."""
     d = R.shape[-1]
     plan = _lmi_plan(tuple(map(tuple, blocks)), d, True)
     r, s = plan[:2]
     Re = R + WEIGHT_RIDGE * np.eye(d)
-    F0 = np.zeros(Re.shape[:-2] + (2, d, d), dtype=Re.dtype)
-    F0[..., 0, :, :] = Re
-    Z = np.zeros((d, d))
-    problem = LogDetBarrier(F0.reshape(-1, 2, d, d), np.array([Z, -G]), plan)
-    least = np.maximum(np.linalg.eigvalsh(Re)[..., 0], WEIGHT_RIDGE)
-    return problem, 0.5 * least[..., None] * (r == s)
+    problem = LogDetBarrier(np.stack([Re, np.zeros_like(Re)], axis=1),
+                            np.array([np.zeros((d, d)), -G]), plan)
+    least = np.maximum(np.linalg.eigvalsh(Re)[:, 0], WEIGHT_RIDGE)
+    return problem, 0.5 * least[:, None] * (r == s)
 
 
 def robustness_barrier(R: np.ndarray, G: np.ndarray, blocks):
-    """min Tr(C G) over block-diagonal C >= R as the LMI C - R > 0.  Returns
-    (problem, start), the start pinch(R) + (lambda_max(R - pinch R)_+ + 1/2)*I
-    being feasible; pinch keeps the diagonal blocks.  Given a stack of R,
-    one problem each and a stack of starts."""
+    """min Tr(C G) over block-diagonal C >= R, for each R of the stack, as
+    the LMI C - R > 0.  Returns (problem, starts), one start per R,
+    pinch(R) + (lambda_max(R - pinch R)_+ + 1/2)*I, feasible; pinch keeps the
+    diagonal blocks."""
     d = R.shape[-1]
     plan = _lmi_plan(tuple(map(tuple, blocks)), d, False)
     r, s, w = plan[:3]
-    problem = LogDetBarrier(-R.reshape(-1, 1, d, d), G[None], plan)
+    problem = LogDetBarrier(-R[:, None], G[None], plan)
     pinched = (w.conj() * R[..., r, s]).real
-    owner = np.arange(len(R)) if R.ndim == 3 else 0
-    off = -problem.matrix(pinched, owner)[..., 0, :, :]  # R - pinch(R)
-    top = np.maximum(np.linalg.eigvalsh(off)[..., -1], 0.0)
-    return problem, pinched + (top + 0.5)[..., None] * (r == s)
+    off = -problem.matrix(pinched, np.arange(len(R)))[:, 0]  # R - pinch(R)
+    top = np.maximum(np.linalg.eigvalsh(off)[:, -1], 0.0)
+    return problem, pinched + (top + 0.5)[:, None] * (r == s)
 
 
 def max_weight_diagonal(R: np.ndarray):
-    """Maximize sum(w) subject to 0 <= diag(w) <= R + WEIGHT_RIDGE*I: the
-    singleton blocks of weight_barrier, G = I.  Returns (w, iterations), or
-    a list of them for a stack of R."""
+    """Maximize sum(w) subject to 0 <= diag(w) <= R + WEIGHT_RIDGE*I for
+    each R of the stack: the singleton blocks of weight_barrier, G = I.
+    Returns a list of (w, iterations), one per R."""
     d = R.shape[-1]
     return barrier_descent(*weight_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
 
 def min_dominating_diagonal(R: np.ndarray):
-    """Minimize sum(y) subject to diag(y) >= R: the singleton blocks of
-    robustness_barrier, G = I.  Returns (y, iterations), or a list of them
-    for a stack of R."""
+    """Minimize sum(y) subject to diag(y) >= R for each R of the stack: the
+    singleton blocks of robustness_barrier, G = I.  Returns a list of
+    (y, iterations), one per R."""
     d = R.shape[-1]
     return barrier_descent(*robustness_barrier(R, np.eye(d), [(k,) for k in range(d)]))
 
@@ -480,9 +474,9 @@ def _mirror_path(d, max_iter):
         q, val = trials[row], float(tvals[row])
 
 
-def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, problems=None):
-    """Minimize a smooth convex function f over the probability simplex by
-    damped Newton steps, from the uniform q.
+def mirror_descent_simplex(values, gradient, d: int, problems: int, max_iter: int = 2000):
+    """Minimize each of `problems` smooth convex functions f over the
+    probability simplex by damped Newton steps, from the uniform q.
 
     values(Q) evaluates f at each row of a (k, d) stack of simplex points and
     returns (their values, state); gradient(state, j) returns the gradient g
@@ -503,11 +497,10 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
     rounds (Levenberg-Marquardt), and the solve stops past _DAMP_MAX.  It
     also stops once <g, q> - min g, the Frank-Wolfe gap, less the part that
     MIRROR_FLOOR keeps open, is at rounding level (_GAP_ROUNDING), or after
-    max_iter steps, and returns (q, value, iterations, converged), converged
-    saying whether the gap is at most MIRROR_GAP.
+    max_iter steps.  Returns a list of (q, value, iterations, converged),
+    one per problem, converged saying whether the gap is at most MIRROR_GAP.
 
-    With problems=n it minimizes n functions, each as it would alone, and
-    returns a list of their n tuples.  Several problems are evaluated
+    Each problem is minimized as it would be alone.  Several are evaluated
     together (_drive): values(Q, owner) then evaluates row i of Q for
     problem owner[i], gradient(state, J) returns the stacks of gradients and
     Hessians at the rows J, and the KKT systems of a round are solved as one
@@ -526,7 +519,6 @@ def mirror_descent_simplex(values, gradient, d: int, max_iter: int = 2000, probl
         (state, _), _ = requests[0]
         return list(zip(*gradient(state, np.array([a + j for (_, a), j in requests]))))
 
-    found = _drive([_mirror_path(d, max_iter) for _ in range(problems or 1)],
-                   {"values": values, "gradient": gradient, "solve": _solve_or_none},
-                   {"values": many_values, "gradient": many_gradient, "solve": _solve_many})
-    return found[0] if problems is None else found
+    return _drive([_mirror_path(d, max_iter) for _ in range(problems)],
+                  {"values": values, "gradient": gradient, "solve": _solve_or_none},
+                  {"values": many_values, "gradient": many_gradient, "solve": _solve_many})

@@ -30,6 +30,7 @@ from superposition import (
 )
 from superposition.errors import BlockSizeMismatch, InvalidPartition, ProjectorMismatch
 from superposition.generalized import block_permutation_channel, random_block_free_channel
+from superposition.solvers import barrier_descent, robustness_barrier, weight_barrier
 
 
 def test_partition_validation():
@@ -236,6 +237,20 @@ def test_block_weight_certified_on_rank_deficient_states(d, state_seed, blocks):
     result = m_weight_generalized(rho, proj)
     lower = _dual_lower_bound(m_weight_generalized, result, R, basis.gram, blocks)
     assert abs(result.value - lower) <= 1e-5
+
+
+@pytest.mark.parametrize("build", [weight_barrier, robustness_barrier])
+def test_stacked_block_problems_each_get_the_bits_of_their_stack_of_one(build):
+    # a non-singleton partition: every row of a stack of three follows the
+    # path of its own state alone
+    basis = constant_overlap_basis(4, 0.5)
+    blocks = ((0, 1), (2, 3))
+    R = np.stack([coefficients_of(random_density(4, 4, s), basis).entries for s in range(3)])
+    together = barrier_descent(*build(R, basis.gram, blocks))
+    assert len(together) == 3
+    for Ri, (x, iters) in zip(R, together):
+        [(x1, iters1)] = barrier_descent(*build(Ri[None], basis.gram, blocks))
+        assert iters > 0 and iters == iters1 and np.array_equal(x, x1)
 
 
 @pytest.mark.parametrize("measure", [m_weight_generalized, m_robustness_generalized])

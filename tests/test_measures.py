@@ -226,7 +226,7 @@ def test_mirror_descent_reaches_closed_form_minimizer(scale):
     def gradient(Q, j):
         return scale * (np.log(Q[j] / p) + 1.0), scale * np.diag(1.0 / Q[j])
 
-    q, val, it, converged = mirror_descent_simplex(values, gradient, 5)
+    [(q, val, it, converged)] = mirror_descent_simplex(values, gradient, 5, 1)
     assert converged and np.abs(q - p).max() < 1e-9
 
 
@@ -275,7 +275,7 @@ def test_mirror_descent_falls_back_where_the_newton_step_fails():
     def gradient(Q, j):
         return c.copy(), np.zeros((5, 5))
 
-    q, val, it, converged = mirror_descent_simplex(values, gradient, 5)
+    [(q, val, it, converged)] = mirror_descent_simplex(values, gradient, 5, 1)
     assert converged and np.abs(q - np.eye(5)[1]).max() < 1e-9 and val <= c.min() + 1e-9
 
 
@@ -287,14 +287,16 @@ def _linear_objective(c, H):
 def test_mirror_descent_carries_its_damping_from_step_to_step():
     # damping restarted at 1 every iteration takes 242 iterations here
     c = np.array([0.3, -0.2, 0.5, 0.1, -0.1])
-    q, val, it, converged = mirror_descent_simplex(*_linear_objective(c, np.zeros((5, 5))), 5)
+    [(q, val, it, converged)] = mirror_descent_simplex(
+        *_linear_objective(c, np.zeros((5, 5))), 5, 1)
     assert converged and it <= 20
 
 
 def test_mirror_descent_stops_unconverged_where_no_damping_gives_a_step():
     # a NaN Hessian makes the KKT solve unusable at every damping
     c = np.array([0.3, -0.2, 0.5])
-    q, val, it, converged = mirror_descent_simplex(*_linear_objective(c, np.full((3, 3), np.nan)), 3)
+    [(q, val, it, converged)] = mirror_descent_simplex(
+        *_linear_objective(c, np.full((3, 3), np.nan)), 3, 1)
     assert not converged and it == 1 and np.array_equal(q, np.full(3, 1.0 / 3))
 
 
@@ -427,6 +429,15 @@ def test_rank_pure():
     v = basis.vectors[:, 0] + basis.vectors[:, 1]
     phi = PureState(v / np.linalg.norm(v))
     assert abs(m_rank_pure(phi, basis).value - 1.0) < 1e-12
+
+
+def test_rank_pure_is_a_pure_measure_for_the_roof_and_the_maximum():
+    # m_rank_pure returns a MeasureResult, whose value both read
+    basis = constant_overlap_basis(2, 0.5)
+    assert max_measure_value(basis, lambda phi: m_rank_pure(phi, basis)) == 1.0
+    rho, basis = rho_x(0.25, 0.5)
+    res = convex_roof(rho, basis, lambda phi: m_rank_pure(phi, basis), RoofOptions(restarts=2))
+    assert m_weight(rho, basis).value - 1e-9 <= res.value <= 1.0
 
 
 def test_gamma_example1_matches_closed_form():
@@ -609,7 +620,7 @@ def test_barrier_stack_with_some_infeasible_trial_points(monkeypatch):
 
     monkeypatch.setattr(solvers, "_neg_log_det", recording)
     for solve in (solvers.max_weight_diagonal, solvers.min_dominating_diagonal):
-        for (x, iters), (x1, iters1) in zip(solve(R), [solve(Ri) for Ri in R]):
+        for (x, iters), [(x1, iters1)] in zip(solve(R), [solve(Ri[None]) for Ri in R]):
             assert np.array_equal(x, x1) and iters == iters1
     assert any(mixed)
 
